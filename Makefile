@@ -62,9 +62,16 @@ BENCH_batch.json: FORCE
 
 FORCE:
 
+# The lint step also holds the RNG's hot draws inlinable: every Monte-Carlo
+# loop in the reproduction pays a call per draw if they stop inlining.
 lint:
 	$(GO) vet ./...
 	gofmt -l cmd internal examples bench_test.go | tee /dev/stderr | wc -l | grep -q '^0$$'
+	@inl=$$($(GO) build -gcflags=-m ./internal/stats 2>&1); \
+	for fn in Uint64 Float64; do \
+		echo "$$inl" | grep -qE "can inline \(\*RNG\)\.$$fn\$$" || { \
+			echo "make lint: (*RNG).$$fn no longer inlines (go build -gcflags=-m ./internal/stats)" >&2; exit 1; }; \
+	done
 
 # check = lint + no stray generator artifacts + the benchmark certificates
 # parse and meet their thresholds. Run `make bench` first (or on failure)

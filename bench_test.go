@@ -546,6 +546,35 @@ func BenchmarkHarnessMonteCarlo(b *testing.B) {
 	b.ReportMetric(float64(rep.UnitsDone), "units")
 }
 
+// Sinks keep the compiler from discarding the kernels' results.
+var (
+	digestSink uint64
+	floatSink  float64
+)
+
+// BenchmarkMonteCarloRun measures one unit of the Monte-Carlo task that
+// `hetero all`'s real-workload execution runs (20000 samples, two
+// Float64 draws each): the RNG kernel behind experiments.execute.
+func BenchmarkMonteCarloRun(b *testing.B) {
+	task, err := workload.ByName("montecarlo", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		digestSink = task.Run(i)
+	}
+}
+
+// BenchmarkRNGFloat64 measures a single uniform draw.
+func BenchmarkRNGFloat64(b *testing.B) {
+	r := stats.NewRNG(1)
+	var s float64
+	for i := 0; i < b.N; i++ {
+		s += r.Float64()
+	}
+	floatSink = s
+}
+
 // BenchmarkHierarchyFold measures the recursive subtree folding on a
 // 3-level, 64-leaf tree.
 func BenchmarkHierarchyFold(b *testing.B) {

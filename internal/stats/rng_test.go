@@ -16,6 +16,68 @@ func TestRNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestRNGStreamPinned pins the first draws of each sampler, from a fresh
+// generator per sampler, to literal values: every seeded experiment in the
+// reproduction depends on this exact stream, so any change to Seed, Uint64
+// or the samplers built on it must fail here.
+func TestRNGStreamPinned(t *testing.T) {
+	cases := []struct {
+		seed  uint64
+		u64   []uint64
+		f64   []float64
+		intn7 []int
+		norm  []float64
+	}{
+		{
+			seed:  0,
+			u64:   []uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c},
+			f64:   []float64{0.6012629994179048, 0.7477740925472398, 0.10301998939503632, 0.4165890778296456},
+			intn7: []int{4, 5, 0, 2, 5, 6, 2, 3},
+			norm:  []float64{0.5981026483626094, -0.8950525532379916, -2.415606685712082, -0.7626406521838989},
+		},
+		{
+			seed:  42,
+			u64:   []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1},
+			f64:   []float64{0.08386297105988216, 0.3789802506626686, 0.6800434110281394, 0.9246929453253876},
+			intn7: []int{0, 2, 4, 6, 6, 5, 5, 5},
+			norm:  []float64{-0.7262191382447857, 0.2216227015035933, 0.46417731016247366, 1.476249461018415},
+		},
+		{
+			seed:  20100419,
+			u64:   []uint64{0x4607206555e77c79, 0xd7d2247dd2db1c28, 0xe85c7bb22d1ccf8f, 0x63da0a7c50edb8fa},
+			f64:   []float64{0.2735462424660947, 0.8430502707659396, 0.9076611814499415, 0.3900457910066767},
+			intn7: []int{1, 5, 6, 2, 6, 3, 6, 3},
+			norm:  []float64{-0.48765458736308365, 0.7939642264521004, 0.870696090380372, 0.4821847777584119},
+		},
+	}
+	for _, tc := range cases {
+		r := NewRNG(tc.seed)
+		for i, want := range tc.u64 {
+			if got := r.Uint64(); got != want {
+				t.Errorf("seed %d: Uint64 draw %d = %#016x, want %#016x", tc.seed, i, got, want)
+			}
+		}
+		r = NewRNG(tc.seed)
+		for i, want := range tc.f64 {
+			if got := r.Float64(); got != want {
+				t.Errorf("seed %d: Float64 draw %d = %v, want %v", tc.seed, i, got, want)
+			}
+		}
+		r = NewRNG(tc.seed)
+		for i, want := range tc.intn7 {
+			if got := r.Intn(7); got != want {
+				t.Errorf("seed %d: Intn(7) draw %d = %d, want %d", tc.seed, i, got, want)
+			}
+		}
+		r = NewRNG(tc.seed)
+		for i, want := range tc.norm {
+			if got := r.Norm(); got != want {
+				t.Errorf("seed %d: Norm draw %d = %v, want %v", tc.seed, i, got, want)
+			}
+		}
+	}
+}
+
 func TestRNGSeedsDiffer(t *testing.T) {
 	a := NewRNG(1)
 	b := NewRNG(2)
