@@ -9,10 +9,12 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# perfbench is a Go module of its own, so ./... skips its self-checks.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/incr ./internal/api ./internal/cluster ./internal/fault ./internal/sim ./internal/spill
+	cd perfbench && $(GO) test ./...
 
 bench: BENCH_incr.json BENCH_fault.json BENCH_serve.json BENCH_batch.json
 	$(GO) test -bench=. -benchmem ./...
@@ -66,7 +68,7 @@ FORCE:
 # loop in the reproduction pays a call per draw if they stop inlining.
 lint:
 	$(GO) vet ./...
-	gofmt -l cmd internal examples bench_test.go | tee /dev/stderr | wc -l | grep -q '^0$$'
+	gofmt -l cmd internal examples perfbench bench_test.go | tee /dev/stderr | wc -l | grep -q '^0$$'
 	@inl=$$($(GO) build -gcflags=-m ./internal/stats 2>&1); \
 	for fn in Uint64 Float64; do \
 		echo "$$inl" | grep -qE "can inline \(\*RNG\)\.$$fn\$$" || { \
@@ -108,7 +110,7 @@ vet:
 	$(GO) vet ./...
 
 fmt:
-	gofmt -w cmd internal examples bench_test.go
+	gofmt -w cmd internal examples perfbench bench_test.go
 
 cover:
 	$(GO) test -cover ./...

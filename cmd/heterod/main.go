@@ -53,7 +53,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -85,7 +84,6 @@ func run(args []string) error {
 	cacheBytes := fs.Int64("cache-bytes", api.DefaultCacheBytes, "byte budget per response cache, counting key+body per entry (0 = unlimited)")
 	cacheAdaptive := fs.Bool("cache-adaptive", true, "grow cache shard count from observed contention (only with -cache-shards 0)")
 	maxBody := fs.Int("max-body", api.DefaultMaxBody, "byte cap on any POST request body")
-	maxBatchBody := fs.Int("max-batch-body", 0, "deprecated alias for -max-body (0 = unset)")
 	streamBatchThreshold := fs.Int("stream-batch-threshold", 0, "work-units estimate (total ρ-values per batch) past which /v1/batch responses stream instead of buffering (0 = default, negative disables streaming)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
 	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
@@ -110,12 +108,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	maxBodySet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "max-body" {
-			maxBodySet = true
-		}
-	})
 	tier, err := buildClusterTier(*peers, *self, *peerHedgeDelay, *peerTimeout)
 	if err != nil {
 		return err
@@ -153,7 +145,7 @@ func run(args []string) error {
 		Coalesce: true,
 		Adaptive: *cacheAdaptive,
 	})
-	apiSrv.MaxBody = resolveMaxBody(*maxBody, maxBodySet, *maxBatchBody, os.Stderr)
+	apiSrv.MaxBody = *maxBody
 	apiSrv.StreamBatchThreshold = *streamBatchThreshold
 	if *spillDir != "" {
 		st, err := spill.Open(spill.Config{
@@ -202,20 +194,6 @@ func run(args []string) error {
 		apiSrv.CloseCoalesce()
 		apiSrv.CloseSpill()
 	})
-}
-
-// resolveMaxBody unifies -max-body with its deprecated -max-batch-body
-// alias: an explicitly set -max-body always wins (maxBodySet reports whether
-// the flag appeared on the command line), otherwise a set alias applies.
-// Using the alias at all earns a one-line deprecation warning on warn.
-func resolveMaxBody(maxBody int, maxBodySet bool, maxBatchBody int, warn io.Writer) int {
-	if maxBatchBody > 0 {
-		fmt.Fprintln(warn, "heterod: -max-batch-body is deprecated; use -max-body")
-		if !maxBodySet {
-			return maxBatchBody
-		}
-	}
-	return maxBody
 }
 
 // buildClusterTier validates and builds the peer cache tier from the fleet

@@ -251,40 +251,6 @@ func TestRunStartsPprofListener(t *testing.T) {
 	}
 }
 
-func TestResolveMaxBody(t *testing.T) {
-	cases := []struct {
-		name       string
-		maxBody    int
-		maxBodySet bool
-		alias      int
-		want       int
-		wantWarn   bool
-	}{
-		{"defaults", api.DefaultMaxBody, false, 0, api.DefaultMaxBody, false},
-		{"alias only", api.DefaultMaxBody, false, 123, 123, true},
-		{"max-body only", 456, true, 0, 456, false},
-		{"both set: -max-body wins", 456, true, 123, 456, true},
-		// An explicit -max-body spelled as the default still wins over the
-		// alias (the historical value-comparison logic got this wrong).
-		{"explicit default beats alias", api.DefaultMaxBody, true, 123, api.DefaultMaxBody, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var warn strings.Builder
-			got := resolveMaxBody(tc.maxBody, tc.maxBodySet, tc.alias, &warn)
-			if got != tc.want {
-				t.Fatalf("resolveMaxBody = %d, want %d", got, tc.want)
-			}
-			if warned := strings.Contains(warn.String(), "deprecated"); warned != tc.wantWarn {
-				t.Fatalf("warning %q, wantWarn %v", warn.String(), tc.wantWarn)
-			}
-			if tc.wantWarn && strings.Count(warn.String(), "\n") != 1 {
-				t.Fatalf("want exactly one warning line, got %q", warn.String())
-			}
-		})
-	}
-}
-
 func TestBuildClusterTier(t *testing.T) {
 	if tier, err := buildClusterTier("", "", 0, 0); err != nil || tier != nil {
 		t.Fatalf("no flags: tier=%v err=%v", tier, err)

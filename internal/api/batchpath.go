@@ -43,12 +43,6 @@ import (
 // stale per-endpoint cap behind.
 const DefaultMaxBody = 16 << 20
 
-// DefaultMaxBatchBody is the historical name of DefaultMaxBody, kept so
-// existing configuration code keeps compiling.
-//
-// Deprecated: use DefaultMaxBody.
-const DefaultMaxBatchBody = DefaultMaxBody
-
 // batchRawMinBody is the body length at which the raw body-front cache
 // engages — same rationale and value as the measure raw layer's query gate:
 // below it, decoding costs little and caching exact spellings would only
@@ -61,14 +55,11 @@ const batchRawMinBody = rawFastPathMinQuery
 // batch entries would thrash the LRU that /v1/measure hits depend on.
 const batchCacheMinProfile = 128
 
-// maxBody resolves the Server's unified POST body cap: MaxBody wins, then
-// the deprecated MaxBatchBody, then the package default.
+// maxBody resolves the Server's unified POST body cap: MaxBody, or the
+// package default when unset.
 func (s *Server) maxBody() int {
 	if s.MaxBody > 0 {
 		return s.MaxBody
-	}
-	if s.MaxBatchBody > 0 {
-		return s.MaxBatchBody
 	}
 	return DefaultMaxBody
 }

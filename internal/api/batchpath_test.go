@@ -192,7 +192,7 @@ func statzOf(t *testing.T, s *Server) StatzResponse {
 // cap, and leave ordinary bodies unaffected.
 func TestBatchBodyCap(t *testing.T) {
 	s := NewServer()
-	s.MaxBatchBody = 512
+	s.MaxBody = 512
 	srv := newTestServerFrom(t, s)
 	huge := strings.NewReader(`{"profiles":[[` + strings.Repeat("1,", 400) + `1]]}`)
 	resp, err := http.Post(srv+"/v1/batch", "application/json", huge)

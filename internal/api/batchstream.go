@@ -71,13 +71,18 @@ func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
 // raw body-front is still consulted first: a hit serves cached (buffered)
 // bytes without decoding; on a miss the body is decoded once and the
 // work-units estimate picks the render path.
+//
+// The body is copied once, into the spill store key (spillBatchKey); the
+// memory front keys on the same bytes past the layer byte, so the front,
+// the spill hit and the spill tee share that one O(body) allocation.
 func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
 	s.ensureBatchCaches()
 	front := len(body) >= batchRawMinBody && s.batchRawCache != nil && s.batchRawCache.capacity > 0
-	var key string
+	var storeKey, key string
 	var h uint64
 	if front {
-		key = string(body)
+		storeKey = spillBatchKey(body)
+		key = storeKey[1:]
 		h = hashString(key)
 		if resp, meta, ok := s.batchRawCache.lookupStrMeta(h, key); ok {
 			s.batchRawHits.Add(1)
@@ -85,14 +90,22 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 			writeRawJSON(w, http.StatusOK, resp)
 			return
 		}
-	}
-	// Spill tier: a response for these exact body bytes — evicted from
-	// the memory front or teed off an earlier stream — serves straight
-	// from the segment reader, fragment-by-fragment, before any decode.
-	// Peak memory stays O(chunk); the entry is NOT promoted to memory
-	// (promotion would re-materialize an O(response) body).
-	if front && s.serveSpillStream(w, key) {
-		return
+		// Spill tier: a response for these exact body bytes — evicted from
+		// the memory front or teed off an earlier stream — serves straight
+		// from the segment reader, fragment-by-fragment, before any decode.
+		// Peak memory stays O(chunk); the entry is NOT promoted to memory
+		// (promotion would re-materialize an O(response) body). The
+		// record's CRC and key were fully verified by OpenVerified before
+		// the first byte goes out, so corruption can never reach a client —
+		// it reads as a miss and the request falls through to evaluation.
+		if ent, ok := s.spillOpenStreamKey(storeKey); ok {
+			defer ent.Close()
+			s.batchStreamed.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_ = s.copySpillStream(w, flusher(w), ent)
+			return
+		}
 	}
 	m, profiles, status, msg := s.decodeBatchRequest(body)
 	if status != 0 {
@@ -101,11 +114,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 	}
 	s.noteBatch(len(profiles))
 	if s.shouldStreamBatch(profiles) {
-		teeKey := ""
-		if front {
-			teeKey = key
-		}
-		s.streamBatch(r.Context(), w, m, profiles, teeKey)
+		s.streamBatch(r.Context(), w, m, profiles, storeKey)
 		return
 	}
 	if !front {
@@ -127,12 +136,12 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 
 // streamBatch writes one decoded batch response incrementally to an HTTP
 // response, flushing after every fragment so the peak buffered state —
-// ours and net/http's — stays O(one fragment). A non-empty teeKey also
-// copies the streamed bytes into a spill appender (its private segment
-// file), committed only when the stream completes cleanly — an error
-// trailer or snapped connection aborts the tee so no truncated response
-// can ever be served later.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, teeKey string) {
+// ours and net/http's — stays O(one fragment). A non-empty storeKey
+// (spillBatchKey) also copies the streamed bytes into a spill appender
+// (its private segment file), committed only when the stream completes
+// cleanly — an error trailer or snapped connection aborts the tee so no
+// truncated response can ever be served later.
+func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, storeKey string) {
 	if err := ctx.Err(); err != nil {
 		// Nothing written yet: a plain error status is still possible.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled before streaming began")
@@ -141,14 +150,10 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model
 	s.batchStreamed.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
 	dst := io.Writer(w)
 	var ap *spill.Appender
-	if teeKey != "" {
-		if ap = s.spillBegin(teeKey); ap != nil {
+	if storeKey != "" {
+		if ap = s.spillBeginKey(storeKey); ap != nil {
 			// Appender writes never fail the client stream: errors are
 			// remembered inside and surface as a failed Commit.
 			dst = io.MultiWriter(w, ap)
@@ -156,7 +161,7 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model
 	}
 	// A write error means the client is gone; there is no one to deliver a
 	// trailer to, so the error is dropped after the stream is abandoned.
-	err := s.writeBatchStream(ctx, dst, flush, m, profiles)
+	err := s.writeBatchStream(ctx, dst, flusher(w), m, profiles)
 	if ap != nil {
 		if err == nil {
 			ap.Commit()
@@ -166,31 +171,17 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model
 	}
 }
 
+// flusher returns w's Flush, or a no-op when w cannot flush.
+func flusher(w http.ResponseWriter) func() {
+	if f, ok := w.(http.Flusher); ok {
+		return f.Flush
+	}
+	return func() {}
+}
+
 // spillStreamChunk is the read-copy granularity for serving a spilled
 // batch response; it bounds the serve path's peak memory per request.
 const spillStreamChunk = 64 << 10
-
-// serveSpillStream serves a spilled response for the exact body key over
-// HTTP, chunk by chunk with per-chunk flushes. The record's CRC and key
-// were fully verified by OpenVerified before the first byte goes out, so
-// corruption can never reach a client — it reads as a miss and the
-// caller falls through to evaluation.
-func (s *Server) serveSpillStream(w http.ResponseWriter, key string) bool {
-	ent, ok := s.spillOpenStream(key)
-	if !ok {
-		return false
-	}
-	defer ent.Close()
-	s.batchStreamed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
-	}
-	_ = s.copySpillStream(w, flush, ent)
-	return true
-}
 
 // copySpillStream copies a verified spill entry to w in fixed-size
 // chunks, sniffing the profile count off the first chunk for the batch

@@ -213,8 +213,10 @@ func spillKey(layer byte, key string) string {
 }
 
 // spillBatchKey builds the batch-layer store key straight from the raw
-// body bytes in a single allocation — the only O(body) allocation on the
-// streamed spill-hit path (the peak-memory bound benchserve certifies).
+// body bytes in a single allocation. Once the body is read, it is the only
+// O(body) copy on the streamed spill-hit path, over HTTP (serveBatchLarge, whose memory front
+// keys on the same string past the layer byte) and in-process
+// (BatchBodyStream) alike; benchserve certifies that path's peak memory.
 func spillBatchKey(body []byte) string {
 	var b strings.Builder
 	b.Grow(1 + len(body))
@@ -234,15 +236,10 @@ func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
 	return t.store.Get(spillKey(layer, key))
 }
 
-// spillOpenStream pins a CRC-verified streaming handle for a batch-layer
-// key so the streamed render path can serve the body fragment-by-
-// fragment in O(chunk) memory. nil when spill is off or the key misses.
-func (s *Server) spillOpenStream(key string) (*spill.Entry, bool) {
-	return s.spillOpenStreamKey(spillKey(spillLayerBatch, key))
-}
-
-// spillOpenStreamKey is spillOpenStream for a pre-built store key
-// (spillBatchKey), sparing the hit path a second O(body) copy.
+// spillOpenStreamKey pins a CRC-verified streaming handle for a store key
+// (spillKey, or spillBatchKey for a batch body) so the body can be served
+// chunk by chunk in O(chunk) memory. nil when spill is off or the key
+// misses.
 func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
 	t := s.spill
 	if t == nil {
@@ -251,13 +248,9 @@ func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
 	return t.store.OpenVerified(storeKey)
 }
 
-// spillBegin starts a streamed tee of a batch response into the spill
-// tier; nil when spill is off (callers must tolerate nil).
-func (s *Server) spillBegin(key string) *spill.Appender {
-	return s.spillBeginKey(spillKey(spillLayerBatch, key))
-}
-
-// spillBeginKey is spillBegin for a pre-built store key (spillBatchKey).
+// spillBeginKey starts a streamed tee of a batch response into the spill
+// tier under a store key (spillBatchKey); nil when spill is off (callers
+// must tolerate nil).
 func (s *Server) spillBeginKey(storeKey string) *spill.Appender {
 	t := s.spill
 	if t == nil {

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -189,6 +191,40 @@ func TestPush(t *testing.T) {
 	s2 := statFor(t, p2, rejAddr)
 	if s2.Pushes != 1 || s2.PushErrors != 1 {
 		t.Fatalf("stats after rejected push: %+v", s2)
+	}
+}
+
+// TestDoReadsWholeBody: do returns the owner's bytes exactly whether the
+// response declares its length or is chunked, and a response shorter than
+// its declared length is an error.
+func TestDoReadsWholeBody(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
+	want = append(want, "end"...)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/declared":
+			w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+			w.Write(want)
+		case "/chunked":
+			w.Write(want[:len(want)/2])
+			w.(http.Flusher).Flush()
+			w.Write(want[len(want)/2:])
+		case "/short":
+			w.Header().Set("Content-Length", strconv.Itoa(len(want)+1))
+			w.Write(want)
+		}
+	}))
+	defer ts.Close()
+	addr := hostOf(t, ts)
+	p := newTestPeers(t, addr, -1, time.Second)
+	for _, path := range []string{"/declared", "/chunked"} {
+		got, status, err := p.do(context.Background(), addr, path, nil)
+		if err != nil || status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes, status %d, err %v; want %d bytes", path, len(got), status, err, len(want))
+		}
+	}
+	if _, _, err := p.do(context.Background(), addr, "/short", nil); err == nil {
+		t.Fatal("/short: a body shorter than its Content-Length read without error")
 	}
 }
 
