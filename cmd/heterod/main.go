@@ -76,13 +76,15 @@ func main() {
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("heterod", flag.ContinueOnError)
+	return runFlags(flag.NewFlagSet("heterod", flag.ContinueOnError), args)
+}
+
+// runFlags is run with the flags defined on fs, so a test can list them.
+func runFlags(fs *flag.FlagSet, args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	pprofAddr := fs.String("pprof-addr", "", "listen address for net/http/pprof on a separate listener (empty disables; keep it off public interfaces)")
 	cacheSize := fs.Int("cache-size", api.DefaultMeasureCacheSize, "bound on the /v1/measure response cache (0 disables)")
-	cacheShards := fs.Int("cache-shards", 0, "lock shards for the measure cache (0 = automatic, rounded down to a power of two)")
 	cacheBytes := fs.Int64("cache-bytes", api.DefaultCacheBytes, "byte budget per response cache, counting key+body per entry (0 = unlimited)")
-	cacheAdaptive := fs.Bool("cache-adaptive", true, "grow cache shard count from observed contention (only with -cache-shards 0)")
 	maxBody := fs.Int("max-body", api.DefaultMaxBody, "byte cap on any POST request body")
 	streamBatchThreshold := fs.Int("stream-batch-threshold", 0, "work-units estimate (total ρ-values per batch) past which /v1/batch responses stream instead of buffering (0 = default, negative disables streaming)")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
@@ -141,9 +143,7 @@ func run(args []string) error {
 	apiSrv := api.NewServerWithCache(api.CacheConfig{
 		Entries:  *cacheSize,
 		MaxBytes: budget,
-		Shards:   *cacheShards,
 		Coalesce: true,
-		Adaptive: *cacheAdaptive,
 	})
 	apiSrv.MaxBody = *maxBody
 	apiSrv.StreamBatchThreshold = *streamBatchThreshold

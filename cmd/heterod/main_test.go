@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -273,6 +275,30 @@ func TestBuildClusterTier(t *testing.T) {
 func TestRunRejectsBadAddr(t *testing.T) {
 	if err := run([]string{"-addr", "256.256.256.256:99999"}); err == nil {
 		t.Fatal("bad address accepted")
+	}
+}
+
+// TestFlagSet pins heterod's exact flag list, so a new knob (or a removed
+// one) takes a deliberate edit here.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("heterod", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if err := runFlags(fs, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"addr", "cache-bytes", "cache-size", "coalesce", "coalesce-max",
+		"coalesce-wait", "grace", "idle-timeout", "max-body", "max-concurrent",
+		"peer-hedge-delay", "peer-timeout", "peers", "pprof-addr", "queue-depth",
+		"read-header-timeout", "read-timeout", "request-timeout", "self",
+		"spill-bytes", "spill-compact-rate", "spill-dir", "spill-index-bytes",
+		"spill-write-through", "stream-batch-threshold", "write-timeout",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("heterod flags (%d):\n  %s\nwant (%d):\n  %s",
+			len(got), strings.Join(got, " "), len(want), strings.Join(want, " "))
 	}
 }
 

@@ -56,7 +56,8 @@ const MaxBatchProfiles = 4096
 
 // Server carries the default environment plus the serving-path state: the
 // /v1/measure response cache, the admission-control tokens, and the
-// /v1/statz counters.
+// /v1/statz counters. Build it with one of the NewServer* constructors,
+// which create the response caches; a zero Server literal has none.
 type Server struct {
 	Defaults model.Params
 	// Serving tunes the hardening middleware; set it before the first
@@ -116,10 +117,10 @@ func NewServer() *Server { return NewServerCacheSize(DefaultMeasureCacheSize) }
 
 // NewServerCacheSize returns a server with an explicit /v1/measure cache
 // bound; cacheSize ≤ 0 disables response caching. The cache is sharded
-// automatically (growing adaptively under contention), coalesces concurrent
-// identical misses, and carries the default byte budget.
+// automatically, coalesces concurrent identical misses, and carries the
+// default byte budget.
 func NewServerCacheSize(cacheSize int) *Server {
-	return NewServerWithCache(CacheConfig{Entries: cacheSize, Coalesce: true, Adaptive: true})
+	return NewServerWithCache(CacheConfig{Entries: cacheSize, Coalesce: true})
 }
 
 // NewServerCacheOpts returns a server with cache control: shards is the
@@ -129,9 +130,7 @@ func NewServerCacheSize(cacheSize int) *Server {
 // baseline configuration cmd/benchserve measures speedups against; that
 // baseline also runs without the raw front layers.
 func NewServerCacheOpts(cacheSize, shards int, coalesce bool) *Server {
-	return NewServerWithCache(CacheConfig{
-		Entries: cacheSize, Shards: shards, Coalesce: coalesce, Adaptive: true,
-	})
+	return NewServerWithCache(CacheConfig{Entries: cacheSize, Shards: shards, Coalesce: coalesce})
 }
 
 // CacheConfig configures every response-cache layer of a Server: the
@@ -145,14 +144,13 @@ type CacheConfig struct {
 	// unlimited (entry count still bounds).
 	MaxBytes int64
 	// Shards fixes the lock-domain count (0 = automatic, values round down
-	// to a power of two). An explicit count disables adaptive resizing so
-	// the geometry stays exactly as configured.
+	// to a power of two). The count never changes after construction.
 	Shards int
 	// Coalesce toggles singleflight miss coalescing. When off, the raw
 	// front layers are disabled too (the historical baseline shape).
 	Coalesce bool
-	// Adaptive enables contention-adaptive shard growth; only honored with
-	// automatic sharding.
+	// Adaptive is ignored: contention-adaptive shard growth was removed,
+	// and the field stays only so existing callers keep compiling.
 	Adaptive bool
 }
 
@@ -171,7 +169,6 @@ func NewServerWithCache(cfg CacheConfig) *Server {
 			maxBytes: maxBytes,
 			shards:   cfg.Shards,
 			coalesce: cfg.Coalesce,
-			adaptive: cfg.Adaptive && cfg.Shards == 0,
 		})
 	}
 	rawSize := cfg.Entries
@@ -211,15 +208,6 @@ func (s *Server) CloseCoalesce() {
 // hardening middleware (panic recovery, bounded admission, per-request
 // deadlines — see ServingConfig).
 func (s *Server) Handler() http.Handler {
-	if s.cache == nil { // zero-constructed Server literals keep working
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
-	}
 	s.initServing()
 	s.markStarted()
 	mux := http.NewServeMux()
@@ -271,7 +259,6 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	sc := measureScratchPool.Get().(*measureScratch)
 	status, body, msg := s.measure(sc, r.URL.RawQuery)
 	measureScratchPool.Put(sc)
-	s.drainResizes()
 	if status != http.StatusOK {
 		writeError(w, status, msg)
 		return
@@ -392,9 +379,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// drainResizes must run however the request ends — including a client
-	// disconnect mid-stream — or adaptive shard growth stalls.
-	defer s.drainResizes()
 	// A body of B bytes decodes to at most ~B/2 ρ-values, so bodies under
 	// the work-units threshold in bytes can never stream: they take the
 	// buffered engine (raw body-front, dedupe, cacheable assembly) whole.
@@ -417,25 +401,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // RawCoalesced): a request resolves at exactly one layer, so Hits + Misses
 // + Coalesced equals the measure request count either way.
 type CacheStats struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Coalesced    uint64 `json:"coalesced"`
-	Evicted      uint64 `json:"evicted"`
-	Rejected     uint64 `json:"rejected"` // entries over a shard's whole byte budget
-	RawHits      uint64 `json:"raw_hits"`
-	RawCoalesced uint64 `json:"raw_coalesced"`
-	Size         int    `json:"size"`
-	Capacity     int    `json:"capacity"`
-	Bytes        int64  `json:"bytes"`     // resident key+body bytes, canonical layer
-	RawBytes     int64  `json:"raw_bytes"` // resident bytes, raw-query front layer
-	MaxBytes     int64  `json:"max_bytes"` // per-cache byte budget (0 = unlimited)
-	Shards       int    `json:"shards"`
-	ShardResizes uint64 `json:"shard_resizes"` // contention-adaptive resizes, canonical layer
-	// Raw-front layer geometry: adaptive grow/shrink is observable per
-	// layer, not just on the canonical cache.
-	RawShards       int     `json:"raw_shards"`
-	RawShardResizes uint64  `json:"raw_shard_resizes"`
-	HitRate         float64 `json:"hit_rate"`
+	Hits         uint64  `json:"hits"`
+	Misses       uint64  `json:"misses"`
+	Coalesced    uint64  `json:"coalesced"`
+	Evicted      uint64  `json:"evicted"`
+	Rejected     uint64  `json:"rejected"` // entries over a shard's whole byte budget
+	RawHits      uint64  `json:"raw_hits"`
+	RawCoalesced uint64  `json:"raw_coalesced"`
+	Size         int     `json:"size"`
+	Capacity     int     `json:"capacity"`
+	Bytes        int64   `json:"bytes"`     // resident key+body bytes, canonical layer
+	RawBytes     int64   `json:"raw_bytes"` // resident bytes, raw-query front layer
+	MaxBytes     int64   `json:"max_bytes"` // per-cache byte budget (0 = unlimited)
+	Shards       int     `json:"shards"`
+	RawShards    int     `json:"raw_shards"` // lock domains of the raw-query front layer
+	HitRate      float64 `json:"hit_rate"`
 }
 
 // BatchStats is the /v1/statz view of the batch endpoint. Deduped counts
@@ -457,9 +437,7 @@ type BatchStats struct {
 	RawHits         uint64 `json:"raw_hits"`
 	RawBytes        int64  `json:"raw_bytes"`
 	Streamed        uint64 `json:"streamed"`
-	// Body-front layer geometry (shards gauge + resize epoch counter).
-	RawShards       int    `json:"raw_shards"`
-	RawShardResizes uint64 `json:"raw_shard_resizes"`
+	RawShards       int    `json:"raw_shards"` // lock domains of the body-front layer
 }
 
 // CoalesceStats is the /v1/statz view of the admission batcher: how many
@@ -533,17 +511,14 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		Evicted: ct.evicted, Rejected: ct.rejected,
 		Size: ct.size, Capacity: s.cache.capacity,
 		Bytes: ct.bytes, MaxBytes: s.cache.maxBytes,
-		Shards: ct.shards, ShardResizes: ct.resizes,
+		Shards: ct.shards,
 	}
-	if s.rawCache != nil {
-		rt := s.rawCache.counters()
-		cs.RawHits, cs.RawCoalesced, cs.RawBytes = rt.hits, rt.coalesced, rt.bytes
-		cs.RawShards, cs.RawShardResizes = rt.shards, rt.resizes
-		cs.Evicted += rt.evicted
-		cs.Rejected += rt.rejected
-		cs.Hits += rt.hits
-		cs.Coalesced += rt.coalesced
-	}
+	rt := s.rawCache.counters()
+	cs.RawHits, cs.RawCoalesced, cs.RawBytes, cs.RawShards = rt.hits, rt.coalesced, rt.bytes, rt.shards
+	cs.Evicted += rt.evicted
+	cs.Rejected += rt.rejected
+	cs.Hits += rt.hits
+	cs.Coalesced += rt.coalesced
 	if total := cs.Hits + cs.Misses + cs.Coalesced; total > 0 {
 		cs.HitRate = float64(cs.Hits+cs.Coalesced) / float64(total)
 	}
@@ -556,11 +531,8 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		RawHits:         s.batchRawHits.Load(),
 		Streamed:        s.batchStreamed.Load(),
 	}
-	if s.batchRawCache != nil {
-		bt := s.batchRawCache.counters()
-		bs.RawBytes = bt.bytes
-		bs.RawShards, bs.RawShardResizes = bt.shards, bt.resizes
-	}
+	bt := s.batchRawCache.counters()
+	bs.RawBytes, bs.RawShards = bt.bytes, bt.shards
 	var co CoalesceStats
 	if b := s.batcher; b != nil {
 		co = CoalesceStats{

@@ -73,78 +73,46 @@ func (s *Server) maxBody() int {
 // HTTP handler streams oversized responses instead (see batchstream.go) and
 // only takes this buffered path below the streaming threshold.
 func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
-	s.ensureBatchCaches()
-	defer s.drainResizes()
-
-	// Raw body-front lookup: for large bodies the exact bytes are a cache
-	// key checked before any decoding, so a repeated sweep costs one hash
-	// instead of a decode + evaluation. The profile count rides on the
-	// entry's meta (stored at admission), so a hit never re-parses bytes.
-	front := len(body) >= batchRawMinBody && s.batchRawCache != nil && s.batchRawCache.capacity > 0
-	var key string
-	var h uint64
-	if front {
-		key = string(body)
-		h = hashString(key)
-		if resp, meta, ok := s.batchRawCache.lookupStrMeta(h, key); ok {
-			s.batchRawHits.Add(1)
-			s.noteBatchCached(resp, meta)
-			return 200, resp, ""
+	if len(body) < batchRawMinBody || s.batchRawCache.capacity <= 0 {
+		m, profiles, status, msg := s.decodeBatchRequest(body)
+		if status != 0 {
+			return status, nil, msg
 		}
-	}
-	// Spill tier: a response for these exact body bytes may be on disk —
-	// evicted, stream-teed, or (in write-through mode) persisted at
-	// admission and surviving a restart — consulted after the memory
-	// front, before any decoding or evaluation. A hit is promoted back
-	// into the memory front (with its sniffed profile count as meta) by
-	// the fill.
-	if front {
-		if sb, ok := s.spillGet(spillLayerBatch, key); ok {
-			resp, meta, _, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
-				var count int64
-				if n, ok := batchCountFromBody(sb); ok {
-					count = int64(n)
-				}
-				return sb, count, nil
-			})
-			if err == nil {
-				s.noteBatchCached(resp, meta)
-				return 200, resp, ""
-			}
-		}
-	}
-	m, profiles, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		return status, nil, msg
-	}
-	s.noteBatch(len(profiles))
-	if !front {
+		s.noteBatch(len(profiles))
 		return 200, s.renderBatchBuffered(m, profiles), ""
 	}
-	// Errors were rejected above, before the cache layer — the fill can only
-	// publish valid bodies, and a herd of identical misses still evaluates
-	// once (each waiter decoded for itself, which it needed anyway to learn
-	// whether the response should stream).
-	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
+	// Raw body-front: for large bodies the exact bytes are a cache key
+	// checked before any decoding, so a repeated sweep costs one hash
+	// instead of a decode + evaluation; a response on disk for these bytes
+	// (evicted, stream-teed, or persisted at admission in write-through
+	// mode) is promoted back into memory. The profile count rides on the
+	// entry's meta, so a hit never re-parses bytes. A malformed body errors
+	// inside the fill, so a herd of it decodes once and nothing is cached.
+	resp, meta, src, err := readThrough(s, s.batchRawCache, hashKey(body), body, spillLayerBatch, 0, func() ([]byte, int64, error) {
+		m, profiles, status, msg := s.decodeBatchRequest(body)
+		if status != 0 {
+			return nil, 0, &statusError{status: status, msg: msg}
+		}
+		s.noteBatch(len(profiles))
 		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
 	})
 	if err != nil {
-		return 500, nil, err.Error()
+		status, msg := errStatus(err)
+		return status, nil, msg
 	}
-	if coalesced {
-		s.batchRawHits.Add(1)
-	}
+	s.noteBatchSource(resp, meta, src)
 	return 200, resp, ""
 }
 
-// ensureBatchCaches lazily builds the cache layers for zero-constructed
-// Server literals (Handler does the same once for the HTTP path).
-func (s *Server) ensureBatchCaches() {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
+// noteBatchSource counts a body-front response that the request's own
+// compute did not produce: memory hits and coalesced waits as raw hits, and
+// those plus spill hits toward the request and profile counters.
+func (s *Server) noteBatchSource(resp []byte, meta int64, src source) {
+	if src == fromMemory || src == fromCoalesced {
+		s.batchRawHits.Add(1)
 	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
+	if src != fromCompute {
+		s.noteBatchCached(resp, meta)
 	}
 }
 
@@ -370,27 +338,22 @@ func (s *Server) renderBatchBuffered(m model.Params, profiles []profile.Profile)
 // bit-identical to /v1/measure in every regime.
 func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq []int) [][]byte {
 	frags := make([][]byte, len(uniq))
-	useCache := s.cache != nil && s.cache.capacity > 0
 
 	// Cache consult pass: resolve what memory already holds, so the
 	// scheduling decision below sees only the profiles that truly need
 	// evaluation.
 	type job struct {
 		u   int    // index into uniq/frags
-		key string // canonical key; "" = bypass the cache
+		key []byte // canonical key; nil = bypass the cache
 	}
 	var jobs []job
 	for u, i := range uniq {
-		p := profiles[i]
-		if !useCache || len(p) < batchCacheMinProfile {
-			jobs = append(jobs, job{u: u})
-			continue
-		}
-		key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-		if body, ok := s.cache.lookupStr(hashString(key), key); ok {
-			s.batchCanonHits.Add(1)
-			frags[u] = body
-			continue
+		key := s.fragmentKey(m, profiles[i])
+		if key != nil {
+			if body, ok := s.cachedFragment(key, nil); ok {
+				frags[u] = body
+				continue
+			}
 		}
 		jobs = append(jobs, job{u: u, key: key})
 	}
@@ -401,24 +364,10 @@ func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq [
 	}
 	render := func(jb job) []byte {
 		p := profiles[uniq[jb.u]]
-		eval := func(workers int) ([]byte, error) {
-			fm := incr.MeasureProfile(m, p, workers)
-			return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm), nil
+		if jb.key == nil {
+			return renderFragment(m, p, 1)
 		}
-		if jb.key == "" {
-			body, _ := eval(1)
-			return body
-		}
-		// Through the canonical cache: the fill populates the same entry
-		// /v1/measure serves from, and coalesces with any concurrent measure
-		// request for the same cluster.
-		workers := 1
-		if len(p) >= incr.ScheduleLargeCutover {
-			workers = 0
-		}
-		body, _, _ := s.cache.fillStr(hashString(jb.key), jb.key, func() ([]byte, error) {
-			return eval(workers)
-		})
+		body, _ := s.cachedFragment(jb.key, func() []byte { return renderFragment(m, p, fragmentWorkers(p)) })
 		return body
 	}
 
@@ -435,6 +384,54 @@ func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq [
 		frags[jobs[j].u] = render(jobs[j])
 	})
 	return frags
+}
+
+// fragmentKey returns the canonical key of a batch fragment, or nil when
+// the fragment bypasses the canonical cache: the cache is off, or p is
+// smaller than batchCacheMinProfile.
+func (s *Server) fragmentKey(m model.Params, p profile.Profile) []byte {
+	if s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
+		return nil
+	}
+	return appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p)
+}
+
+// cachedFragment reads a batch fragment through the canonical measure
+// cache — the same entries /v1/measure serves and fills, coalescing with
+// any concurrent measure request for the cluster. Batch fragments are
+// memory-only: they never read the spill tier or peers. A hit counts
+// toward the batch cache_hits statz; a miss runs eval under singleflight,
+// or reports false when eval is nil. key is copied only when a miss
+// inserts it.
+func (s *Server) cachedFragment(key []byte, eval func() []byte) ([]byte, bool) {
+	h := hashKey(key)
+	if body, _, ok := get(s.cache, h, key); ok {
+		s.batchCanonHits.Add(1)
+		return body, true
+	}
+	if eval == nil {
+		return nil, false
+	}
+	body, _, _, _ := fill(s.cache, h, key, func() ([]byte, int64, error) { return eval(), 0, nil })
+	return body, true
+}
+
+// fragmentWorkers is the worker count a fragment evaluates with: large
+// profiles turn the pool inward through the chunked within-profile kernel,
+// the rest run sequentially. The result is worker-count invariant either
+// way.
+func fragmentWorkers(p profile.Profile) int {
+	if len(p) >= incr.ScheduleLargeCutover {
+		return 0
+	}
+	return 1
+}
+
+// renderFragment evaluates p and renders its measure body into a fresh
+// buffer.
+func renderFragment(m model.Params, p profile.Profile, workers int) []byte {
+	fm := incr.MeasureProfile(m, p, workers)
+	return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm)
 }
 
 // dedupeProfiles groups bit-identical profiles: uniq lists one
@@ -499,19 +496,4 @@ func equalProfile(a, b profile.Profile) bool {
 		}
 	}
 	return true
-}
-
-// drainResizes evaluates any pending contention-adaptive shard resizes.
-// Must run outside every cache operation (maybeResize takes the resize
-// epoch exclusively), which is why the request paths call it last.
-func (s *Server) drainResizes() {
-	if s.cache != nil {
-		s.cache.maybeResize()
-	}
-	if s.rawCache != nil {
-		s.rawCache.maybeResize()
-	}
-	if s.batchRawCache != nil {
-		s.batchRawCache.maybeResize()
-	}
 }

@@ -313,3 +313,53 @@ func TestBatchDecodeHandParser(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchBodyFrontHitZeroAlloc: a repeated large body is answered by
+// probing the body front with the body bytes themselves — no copy of the
+// body, no allocation at all.
+func TestBatchBodyFrontHitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	s := NewServer()
+	body := marshalBatch(t, [][]float64{randomRhos(300, 11), randomRhos(40, 12)})
+	if len(body) < 4<<10 {
+		t.Fatalf("body %d bytes, want at least 4 KiB", len(body))
+	}
+	if status, _, msg := s.BatchBody(body); status != 200 {
+		t.Fatalf("warmup: %d %s", status, msg)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if status, _, _ := s.BatchBody(body); status != 200 {
+			t.Fatal("front hit failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("body-front hit: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestCachedFragmentHitAllocs: a batch fragment served from the canonical
+// cache costs at most its key buffer — the key is probed as bytes, not
+// copied into a string.
+func TestCachedFragmentHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	s := NewServer()
+	m := s.Defaults
+	p := profile.Profile(randomRhos(2*batchCacheMinProfile, 13))
+	var scratch []byte
+	want, stable := s.renderStreamFragment(&scratch, m, p)
+	if !stable {
+		t.Fatal("fragment bypassed the canonical cache")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if frag, _ := s.renderStreamFragment(&scratch, m, p); !bytes.Equal(frag, want) {
+			t.Fatal("cached fragment differs")
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("cached-fragment hit: %v allocs/op, want at most 1 (the key buffer)", allocs)
+	}
+}

@@ -72,24 +72,21 @@ func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
 // bytes without decoding; on a miss the body is decoded once and the
 // work-units estimate picks the render path.
 //
-// The body is copied once, into the spill store key (spillBatchKey); the
-// memory front keys on the same bytes past the layer byte, so the front,
-// the spill hit and the spill tee share that one O(body) allocation.
+// A front hit probes with the body bytes and copies nothing. A miss copies
+// the body once, into the spill store key (spillKey); the memory front keys
+// on the same bytes past the layer byte, so the spill stream, the spill tee
+// and the front's fill share that one O(body) allocation.
 func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
-	s.ensureBatchCaches()
-	front := len(body) >= batchRawMinBody && s.batchRawCache != nil && s.batchRawCache.capacity > 0
-	var storeKey, key string
-	var h uint64
+	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
+	var storeKey string
+	h := hashKey(body)
 	if front {
-		storeKey = spillBatchKey(body)
-		key = storeKey[1:]
-		h = hashString(key)
-		if resp, meta, ok := s.batchRawCache.lookupStrMeta(h, key); ok {
-			s.batchRawHits.Add(1)
-			s.noteBatchCached(resp, meta)
+		if resp, meta, ok := get(s.batchRawCache, h, body); ok {
+			s.noteBatchSource(resp, meta, fromMemory)
 			writeRawJSON(w, http.StatusOK, resp)
 			return
 		}
+		storeKey = spillKey(spillLayerBatch, body)
 		// Spill tier: a response for these exact body bytes — evicted from
 		// the memory front or teed off an earlier stream — serves straight
 		// from the segment reader, fragment-by-fragment, before any decode.
@@ -107,6 +104,8 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 			return
 		}
 	}
+	// Every request decodes for itself: it needs the profiles anyway to
+	// learn whether the response streams.
 	m, profiles, status, msg := s.decodeBatchRequest(body)
 	if status != 0 {
 		writeError(w, status, msg)
@@ -121,14 +120,16 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(m, profiles))
 		return
 	}
-	resp, _, coalesced, err := s.batchRawCache.fillStrMeta(h, key, func() ([]byte, int64, error) {
+	// The spill tier was read above as a stream, so the buffered fill skips
+	// it; a herd of identical misses still renders once.
+	resp, _, src, err := readThrough(s, s.batchRawCache, h, storeKey[1:], 0, 0, func() ([]byte, int64, error) {
 		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if coalesced {
+	if src == fromMemory || src == fromCoalesced {
 		s.batchRawHits.Add(1)
 	}
 	writeRawJSON(w, http.StatusOK, resp)
@@ -137,7 +138,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 // streamBatch writes one decoded batch response incrementally to an HTTP
 // response, flushing after every fragment so the peak buffered state —
 // ours and net/http's — stays O(one fragment). A non-empty storeKey
-// (spillBatchKey) also copies the streamed bytes into a spill appender
+// (spillKey) also copies the streamed bytes into a spill appender
 // (its private segment file), committed only when the stream completes
 // cleanly — an error trailer or snapped connection aborts the tee so no
 // truncated response can ever be served later.
@@ -228,15 +229,13 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.ensureBatchCaches()
-	defer s.drainResizes()
 	// Spill tier (only when enabled — with spill off this path is
 	// byte-for-byte the historical one): serve a stored response for
 	// these exact body bytes fragment-by-fragment from the segment
 	// reader, or tee the freshly rendered stream into the spill store.
 	storeKey := ""
 	if s.spill != nil && len(body) >= batchRawMinBody {
-		storeKey = spillBatchKey(body)
+		storeKey = spillKey(spillLayerBatch, body)
 		if ent, ok := s.spillOpenStreamKey(storeKey); ok {
 			s.batchStreamed.Add(1)
 			err := s.copySpillStream(w, func() {}, ent)
@@ -371,32 +370,17 @@ func (s *Server) writeStreamTrailer(w io.Writer, flush func(), written int, caus
 
 // renderStreamFragment renders the measure body for one profile
 // (newline-terminated, like every fragment). Cache-eligible profiles go
-// through the canonical measure cache exactly as the buffered path does —
-// the returned body is then cache-owned and stable. Otherwise the fragment
-// is rendered into the caller's reusable scratch buffer (stable = false:
-// the bytes are only valid until the next render, so callers retaining
-// them must copy). Large profiles turn the pool inward through the chunked
-// within-profile kernel; the result is worker-count invariant either way,
-// which is what keeps streamed bytes bit-identical to buffered ones.
+// through cachedFragment exactly as the buffered path does — the returned
+// body is then cache-owned and stable. Otherwise the fragment is rendered
+// into the caller's reusable scratch buffer (stable = false: the bytes are
+// only valid until the next render, so callers retaining them must copy).
+// The result is worker-count invariant, which is what keeps streamed bytes
+// bit-identical to buffered ones.
 func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile) (frag []byte, stable bool) {
-	workers := 1
-	if len(p) >= incr.ScheduleLargeCutover {
-		workers = 0
+	if key := s.fragmentKey(m, p); key != nil {
+		return s.cachedFragment(key, func() []byte { return renderFragment(m, p, fragmentWorkers(p)) })
 	}
-	if s.cache == nil || s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
-		fm := incr.MeasureProfile(m, p, workers)
-		*scratch = appendMeasureResponse((*scratch)[:0], p, fm)
-		return *scratch, false
-	}
-	key := string(appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p))
-	h := hashString(key)
-	if body, ok := s.cache.lookupStr(h, key); ok {
-		s.batchCanonHits.Add(1)
-		return body, true
-	}
-	body, _, _ := s.cache.fillStr(h, key, func() ([]byte, error) {
-		fm := incr.MeasureProfile(m, p, workers)
-		return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm), nil
-	})
-	return body, true
+	fm := incr.MeasureProfile(m, p, fragmentWorkers(p))
+	*scratch = appendMeasureResponse((*scratch)[:0], p, fm)
+	return *scratch, false
 }

@@ -3,9 +3,6 @@ package api
 import (
 	"bytes"
 	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -16,7 +13,7 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 	c := newCache(cacheOptions{entries: 100, maxBytes: 100, shards: 1, coalesce: true})
 	body := bytes.Repeat([]byte("x"), 27) // cost = 3 (key) + 27 = 30 per entry
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%02d", i), body)
+		put(c, fmt.Sprintf("k%02d", i), body)
 		if ct := c.counters(); ct.bytes > 100 {
 			t.Fatalf("after insert %d: resident bytes %d exceed budget 100", i, ct.bytes)
 		}
@@ -29,11 +26,11 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 		t.Fatalf("evicted %d, want 7", ct.evicted)
 	}
 	// LRU: only the three hottest keys survive.
-	if _, ok := c.Get("k00"); ok {
+	if _, ok := cacheGet(c, "k00"); ok {
 		t.Fatal("coldest entry survived byte-budget eviction")
 	}
 	for _, k := range []string{"k07", "k08", "k09"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := cacheGet(c, k); !ok {
 			t.Fatalf("hot entry %s evicted", k)
 		}
 	}
@@ -44,12 +41,12 @@ func TestCacheByteBudgetEviction(t *testing.T) {
 // stale smaller entry under the same key must be dropped rather than served.
 func TestCacheOversizedEntryRejected(t *testing.T) {
 	c := newCache(cacheOptions{entries: 10, maxBytes: 50, shards: 1, coalesce: true})
-	c.Put("key", []byte("small"))
-	if _, ok := c.Get("key"); !ok {
+	put(c, "key", []byte("small"))
+	if _, ok := cacheGet(c, "key"); !ok {
 		t.Fatal("small entry not admitted")
 	}
-	c.Put("key", bytes.Repeat([]byte("y"), 200))
-	if _, ok := c.Get("key"); ok {
+	put(c, "key", bytes.Repeat([]byte("y"), 200))
+	if _, ok := cacheGet(c, "key"); ok {
 		t.Fatal("oversized update left a stale body readable")
 	}
 	ct := c.counters()
@@ -65,11 +62,11 @@ func TestCacheOversizedEntryRejected(t *testing.T) {
 // size must adjust the bytes account by the delta, not double-count the key.
 func TestCacheUpdateInPlaceAdjustsBytes(t *testing.T) {
 	c := newCache(cacheOptions{entries: 10, maxBytes: 1000, shards: 1, coalesce: true})
-	c.Put("k", bytes.Repeat([]byte("a"), 40))
+	put(c, "k", bytes.Repeat([]byte("a"), 40))
 	if ct := c.counters(); ct.bytes != 41 {
 		t.Fatalf("bytes %d, want 41", ct.bytes)
 	}
-	c.Put("k", bytes.Repeat([]byte("b"), 10))
+	put(c, "k", bytes.Repeat([]byte("b"), 10))
 	ct := c.counters()
 	if ct.bytes != 11 || ct.size != 1 {
 		t.Fatalf("after shrink: %d entries / %d bytes, want 1 / 11", ct.size, ct.bytes)
@@ -84,7 +81,7 @@ func TestCacheUpdateInPlaceAdjustsBytes(t *testing.T) {
 // rejections doing the bounding — not growth.
 func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 	const budget = 64 << 10
-	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: budget, Coalesce: true, Adaptive: true})
+	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: budget, Coalesce: true})
 	checkBudgets := func(step string) {
 		t.Helper()
 		for name, c := range map[string]*responseCache{
@@ -130,215 +127,5 @@ func TestServerCacheStaysUnderByteBudget(t *testing.T) {
 	}
 	if canon.rejected == 0 {
 		t.Fatal("no rejections from over-budget large-n entries")
-	}
-}
-
-// TestAdaptiveResizeExactlyOnce is the -race stress contract for
-// contention-adaptive sharding: with checkEvery forced tiny so resizes
-// interleave aggressively with lookups and fills, every key must still be
-// computed exactly once, every cached body must survive migration intact,
-// and the per-op counters must reconcile to the op count across resizes.
-func TestAdaptiveResizeExactlyOnce(t *testing.T) {
-	const (
-		keyspace   = 512
-		goroutines = 8
-		iters      = 400
-	)
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8 // force frequent resize evaluations
-	startShards := c.Shards()
-	var evals [keyspace]atomic.Int64
-	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf(`{"key":%d}`, k)) }
-	keyFor := func(k int) string { return fmt.Sprintf("stress|%04d", k) }
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				// Strided so goroutine g covers every residue ≡ g (mod
-				// goroutines): the union provably visits all keyspace keys.
-				k := (g + it*goroutines) % keyspace
-				key := keyFor(k)
-				h := hashString(key)
-				body, ok := c.lookupStr(h, key)
-				if !ok {
-					var err error
-					body, _, err = c.fillStr(h, key, func() ([]byte, error) {
-						evals[k].Add(1)
-						return bodyFor(k), nil
-					})
-					if err != nil {
-						t.Errorf("fill %s: %v", key, err)
-						return
-					}
-				}
-				if !bytes.Equal(body, bodyFor(k)) {
-					t.Errorf("key %s served wrong body %q", key, body)
-					return
-				}
-				c.maybeResize()
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := range evals {
-		if n := evals[k].Load(); n != 1 {
-			t.Fatalf("key %d evaluated %d times, want exactly once", k, n)
-		}
-	}
-	ct := c.counters()
-	if ct.resizes == 0 || ct.shards <= startShards {
-		t.Fatalf("no adaptive growth happened (resizes %d, shards %d→%d): the stress is vacuous",
-			ct.resizes, startShards, ct.shards)
-	}
-	if ct.shards > adaptiveMaxShards {
-		t.Fatalf("shards %d exceed adaptiveMaxShards %d", ct.shards, adaptiveMaxShards)
-	}
-	// Migration preserved every entry (capacity ≫ keyspace, so nothing was
-	// legitimately evicted) and the counters reconcile exactly.
-	if ct.size != keyspace || ct.evicted != 0 || ct.rejected != 0 {
-		t.Fatalf("size %d evicted %d rejected %d, want %d/0/0", ct.size, ct.evicted, ct.rejected, keyspace)
-	}
-	if total := ct.hits + ct.misses + ct.coalesced; total != goroutines*iters {
-		t.Fatalf("counters lost across migration: hits+misses+coalesced = %d, want %d", total, goroutines*iters)
-	}
-	for k := 0; k < keyspace; k++ {
-		if body, ok := c.Get(keyFor(k)); !ok || !bytes.Equal(body, bodyFor(k)) {
-			t.Fatalf("key %d lost or corrupted by migration", k)
-		}
-	}
-}
-
-// TestAdaptiveShardShrink: shard growth driven by a contention burst must
-// reverse once the burst subsides — same traffic volume, but windows now
-// close slowly (hotWindow 0 makes every crossing cold) and the idle
-// threshold is already met, so pending evaluations halve the shard count
-// back to the initial geometry without losing entries.
-func TestAdaptiveShardShrink(t *testing.T) {
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8
-	base := c.Shards()
-	for i := 0; i < 4096; i++ {
-		c.Put(fmt.Sprintf("burst%d", i), []byte("x"))
-		c.maybeResize()
-	}
-	grown := c.Shards()
-	if grown <= base {
-		t.Fatalf("no growth under hot traffic (%d → %d): the shrink test is vacuous", base, grown)
-	}
-	c.hotWindow = 0  // every window now reads as cold
-	c.shrinkIdle = 0 // and the cache counts as idle immediately
-	for i := 0; i < 4096 && c.Shards() > base; i++ {
-		c.Get(fmt.Sprintf("burst%d", i%64))
-		c.maybeResize()
-	}
-	if got := c.Shards(); got != base {
-		t.Fatalf("shards stuck at %d after contention subsided, want base %d", got, base)
-	}
-	if body, ok := c.Get("burst4095"); !ok || !bytes.Equal(body, []byte("x")) {
-		t.Fatal("entry lost or corrupted by downward migration")
-	}
-	if c.counters().resizes < 2 {
-		t.Fatalf("resizes %d cannot cover growth and shrink", c.counters().resizes)
-	}
-}
-
-// TestAdaptiveShrinkExactlyOnce is the -race contract for downward resizes:
-// with every window forced cold while goroutines lookup/fill a shared
-// keyspace, migrations to fewer shards must interleave with the singleflight
-// protocol without a key ever being evaluated twice, a body corrupted, or a
-// counter lost.
-func TestAdaptiveShrinkExactlyOnce(t *testing.T) {
-	const (
-		keyspace   = 256
-		goroutines = 8
-		iters      = 300
-	)
-	c := newCache(cacheOptions{entries: 4096, maxBytes: DefaultCacheBytes, coalesce: true, adaptive: true})
-	c.checkEvery = 8
-	base := c.Shards()
-	for i := 0; i < 2048; i++ {
-		c.Put(fmt.Sprintf("warm%d", i), []byte("w"))
-		c.maybeResize()
-	}
-	grown := c.Shards()
-	if grown <= base {
-		t.Fatalf("no growth before the shrink stress (%d → %d)", base, grown)
-	}
-	preOps := c.counters()
-	c.hotWindow = 0
-	c.shrinkIdle = 0
-	var evals [keyspace]atomic.Int64
-	bodyFor := func(k int) []byte { return []byte(fmt.Sprintf(`{"cold":%d}`, k)) }
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				k := (g + it*goroutines) % keyspace
-				key := fmt.Sprintf("cold|%04d", k)
-				h := hashString(key)
-				body, ok := c.lookupStr(h, key)
-				if !ok {
-					var err error
-					body, _, err = c.fillStr(h, key, func() ([]byte, error) {
-						evals[k].Add(1)
-						return bodyFor(k), nil
-					})
-					if err != nil {
-						t.Errorf("fill %s: %v", key, err)
-						return
-					}
-				}
-				if !bytes.Equal(body, bodyFor(k)) {
-					t.Errorf("key %s served wrong body %q", key, body)
-					return
-				}
-				c.maybeResize()
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := range evals {
-		if n := evals[k].Load(); n != 1 {
-			t.Fatalf("key %d evaluated %d times across shrinks, want exactly once", k, n)
-		}
-	}
-	got := c.Shards()
-	if got >= grown || got < base {
-		t.Fatalf("shards %d after cold stress, want in [%d, %d)", got, base, grown)
-	}
-	ct := c.counters()
-	if delta := (ct.hits + ct.misses + ct.coalesced) - (preOps.hits + preOps.misses + preOps.coalesced); delta != goroutines*iters {
-		t.Fatalf("counters lost across downward migration: delta %d, want %d", delta, goroutines*iters)
-	}
-}
-
-// TestAdaptiveResizeRespectsFloors: growth must stop when halving per-shard
-// capacity would drop below cacheMinPerShard, and explicit shard counts must
-// never resize.
-func TestAdaptiveResizeRespectsFloors(t *testing.T) {
-	c := newCache(cacheOptions{entries: 32, maxBytes: 0, coalesce: true, adaptive: true})
-	c.checkEvery = 1
-	// entries=32 starts at 4 shards (8 entries each). Growing to 8 shards
-	// would leave 4 < cacheMinPerShard entries per shard, so every pending
-	// resize must be a no-op.
-	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte(strings.Repeat("z", 8)))
-		c.maybeResize()
-	}
-	if got := c.Shards(); got > 32/cacheMinPerShard {
-		t.Fatalf("shards %d violate the %d-entry-per-shard floor", got, cacheMinPerShard)
-	}
-	fixed := newCache(cacheOptions{entries: 4096, maxBytes: 0, shards: 2, coalesce: true})
-	fixed.checkEvery = 1
-	for i := 0; i < 100; i++ {
-		fixed.Put(fmt.Sprintf("k%d", i), []byte("body"))
-		fixed.maybeResize()
-	}
-	if got := fixed.Shards(); got != 2 {
-		t.Fatalf("explicitly sharded cache resized to %d shards", got)
 	}
 }

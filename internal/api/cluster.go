@@ -73,11 +73,9 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 		case cluster.LayerCanonical:
 			// A peer-served hit counts as a local cache hit and refreshes the
 			// entry's LRU position: keys a fleet keeps asking for stay warm.
-			body, found = s.cache.lookup(hashKey(key), key)
+			body, _, found = get(s.cache, hashKey(key), key)
 		case cluster.LayerRaw:
-			if s.rawCache != nil {
-				body, found = s.rawCache.lookupStr(hashKey(key), string(key))
-			}
+			body, _, found = get(s.rawCache, hashKey(key), key)
 		default:
 			writeError(w, http.StatusBadRequest, "peer get: unknown layer")
 			return
@@ -117,7 +115,7 @@ func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []
 	default:
 		return false
 	}
-	ent, ok := s.spillOpenStreamKey(spillKey(slayer, string(key)))
+	ent, ok := s.spillOpenStreamKey(spillKey(slayer, key))
 	if !ok {
 		return false
 	}
@@ -188,15 +186,15 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 			reject("peer put: " + err.Error())
 			return
 		}
-		s.cache.Put(string(key), append([]byte(nil), body...))
+		put(s.cache, key, append([]byte(nil), body...))
 	case cluster.LayerRaw:
-		if s.rawCache == nil || len(key) < rawFastPathMinQuery {
+		if len(key) < rawFastPathMinQuery {
 			// The raw front only ever caches large spellings; a small raw key
 			// is a protocol violation, not a cache policy question.
 			reject("peer put: raw key below front-layer threshold")
 			return
 		}
-		s.rawCache.Put(string(key), append([]byte(nil), body...))
+		put(s.rawCache, key, append([]byte(nil), body...))
 	default:
 		reject("peer put: unknown layer")
 		return

@@ -311,7 +311,7 @@ func TestPeerRawLayer(t *testing.T) {
 		if len(q) < rawFastPathMinQuery {
 			t.Fatalf("query too short: %d", len(q))
 		}
-		owner, _ := f.servers[1].cluster.Owner(hashString(q))
+		owner, _ := f.servers[1].cluster.Owner(hashKey(q))
 		ownedBy0 = owner == f.addrs[0]
 	}
 	if !ownedBy0 {
@@ -452,7 +452,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 	}
 	key := appendCanonicalKey(nil, m, sc.rhos)
 	waitSpill(t, "write-through offer to land", func() bool {
-		_, ok := s0.spillGet(spillLayerCanonical, string(key))
+		_, ok := s0.spillGet(spillKey(spillLayerCanonical, key))
 		return ok
 	})
 	for _, fq := range owned[1:] {
@@ -460,7 +460,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 			t.Fatalf("filler %q status %d", fq, status)
 		}
 	}
-	if _, ok := s0.cache.Get(string(key)); ok {
+	if _, ok := cacheGet(s0.cache, string(key)); ok {
 		t.Fatal("key still memory-resident on the owner; test needs it disk-only")
 	}
 	ownerEvals := s0.MeasureEvals()

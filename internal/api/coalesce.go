@@ -28,7 +28,7 @@ import (
 // semantics are untouched. Small queries submit after parse + canonical
 // lookup, from inside the canonical cache's fill closure (the submitter is
 // that key's flight leader). Large queries submit their raw query string
-// from inside the raw front's fillStr closure — before any parsing — so the
+// from inside the raw front's fill closure — before any parsing — so the
 // flush can share the decode itself. Responses are byte-identical to the
 // uncoalesced path: the flush uses the same parse helpers, the same
 // JSON renderer and incr helpers that are
@@ -174,7 +174,7 @@ func (b *measureBatcher) submit(it coalesceItem) (coalesceResult, bool) {
 }
 
 // submitRaw coalesces one raw-query miss; called from inside the raw
-// front's fillStr closure.
+// front's fill closure.
 func (b *measureBatcher) submitRaw(rawQuery string) (coalesceResult, bool) {
 	return b.submit(coalesceItem{
 		raw:      true,
@@ -276,8 +276,8 @@ func hashRhoBits(rhos []float64) uint64 {
 // goroutine never touches a response cache — every submitter is a flight
 // leader in the layer it came from (raw front for raw items, canonical for
 // parsed ones) and publishes its own body — so it can never deadlock
-// against cache locks or a pending adaptive shard resize, and a raw miss's
-// per-item cost stays free of the canonical layer's full-key map hashing.
+// against cache locks, and a raw miss's per-item cost stays free of the
+// canonical layer's full-key map hashing.
 // The one semantic this trades away versus the inline path: a coalesced
 // raw miss does not warm the canonical layer, so a later *different*
 // spelling of the same cluster re-evaluates instead of hitting. Spelling

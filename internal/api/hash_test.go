@@ -6,10 +6,11 @@ import (
 	"hetero/internal/stats"
 )
 
-// TestHashKeyHashStringAgree pins the invariant adaptive resizes depend on:
-// hashKey over bytes and hashString over the equal string must produce the
-// same shard hash, on both sides of the sampling cutoff and at the stride
-// boundary lengths.
+// TestHashKeyHashStringAgree pins the invariant shard selection and fleet
+// ownership depend on: hashKey's []byte and string instantiations must
+// produce the same hash for equal content — a peer put arrives as bytes for
+// a key its sender hashed as a string — on both sides of the sampling
+// cutoff and at the stride boundary lengths.
 func TestHashKeyHashStringAgree(t *testing.T) {
 	rng := stats.NewRNG(7)
 	sizes := []int{0, 1, 31, hashSampleCutoff - 1, hashSampleCutoff,
@@ -20,8 +21,8 @@ func TestHashKeyHashStringAgree(t *testing.T) {
 		for i := range b {
 			b[i] = byte(rng.Uint64())
 		}
-		if got, want := hashKey(b), hashString(string(b)); got != want {
-			t.Fatalf("len %d: hashKey = %#x, hashString = %#x", n, got, want)
+		if got, want := hashKey(b), hashKey(string(b)); got != want {
+			t.Fatalf("len %d: hashKey([]byte) = %#x, hashKey(string) = %#x", n, got, want)
 		}
 	}
 }

@@ -54,12 +54,6 @@ var measureScratchPool = sync.Pool{
 // The returned body is cache-owned or freshly allocated — never scratch —
 // so it remains valid after the call.
 func (s *Server) MeasureQuery(rawQuery string) (status int, body []byte) {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
 	sc := measureScratchPool.Get().(*measureScratch)
 	status, body, _ = s.measure(sc, rawQuery)
 	measureScratchPool.Put(sc)
@@ -81,149 +75,77 @@ const rawFastPathMinQuery = 4096
 // front cache. The fleet tier keys off this too: a request does its peer
 // fetch/push at the layer it will be cached at, and only there.
 func (s *Server) rawFrontEngages(rawQuery string) bool {
-	return len(rawQuery) >= rawFastPathMinQuery && s.rawCache != nil && s.rawCache.capacity > 0
+	return len(rawQuery) >= rawFastPathMinQuery && s.rawCache.capacity > 0
 }
-
-// statusError carries a non-200 outcome through the raw layer's
-// singleflight so every coalesced waiter of a malformed herd receives the
-// same status and message, and nothing is cached.
-type statusError struct {
-	status int
-	msg    string
-}
-
-func (e *statusError) Error() string { return e.msg }
 
 // measure is the hot path shared by handleMeasure and MeasureQuery. On
 // error it returns (status, nil, message); on success (200, body, "").
 //
 // Large queries go through the raw-query front cache first — exact
 // RawQuery string → body, nginx-style — so repeated identical spellings
-// skip the parse. Different spellings of the same cluster still unify at
-// the canonical layer below. The raw layer never caches errors, and its
-// mapping is deterministic (the response depends only on the query), so a
-// raw entry outliving its canonical twin still serves correct bytes.
+// skip the parse, and a spill or raw-layer peer hit skips it too. Different
+// spellings of the same cluster still unify at the canonical layer below.
+// The raw layer never caches errors, and its mapping is deterministic (the
+// response depends only on the query), so a raw entry outliving its
+// canonical twin still serves correct bytes.
 func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, string) {
-	if s.rawFrontEngages(rawQuery) {
-		h := hashString(rawQuery)
-		if body, ok := s.rawCache.lookupStr(h, rawQuery); ok {
-			return 200, body, ""
-		}
-		body, _, err := s.rawCache.fillStr(h, rawQuery, func() ([]byte, error) {
-			// Spill tier: a raw entry this layer evicted — or, in
-			// write-through mode, one persisted at admission time and
-			// surviving a restart — may still be on disk. Consulted after
-			// the memory layers (we are the flight leader of a miss) and
-			// before any peer fetch or evaluation; a hit is promoted back
-			// into memory by the fill insert and skips the parse exactly
-			// as a raw-layer peer hit would.
-			if b, ok := s.spillGet(spillLayerRaw, rawQuery); ok {
-				return b, nil
-			}
-			// Fleet tier: this exact spelling may already be warm on its
-			// owning replica. A raw-layer peer hit skips the parse entirely —
-			// the whole point of peering this layer — and a fallback remembers
-			// the owner so the locally computed body is offered back to it.
-			var pushOwner string
-			if cl := s.cluster; cl != nil {
-				if owner, self := cl.Owner(h); !self {
-					if b, ok := cl.Fetch(owner, cluster.LayerRaw, []byte(rawQuery)); ok {
-						return b, nil
-					}
-					pushOwner = owner
-				}
-			}
-			// With coalescing on, hand the raw query to the admission batcher
-			// before any parsing: the flush shares the decode, moments and
-			// render across the herd. We are this spelling's flight leader, so
-			// the raw front still caches whatever comes back. A rejected
-			// submit (queue full, draining) falls through to the inline path.
-			if b := s.batcher; b != nil {
-				if res, ok := b.submitRaw(rawQuery); ok {
-					if res.status != 200 {
-						return nil, &statusError{status: res.status, msg: res.msg}
-					}
-					if pushOwner != "" {
-						s.cluster.Push(pushOwner, cluster.LayerRaw, []byte(rawQuery), res.body)
-					}
-					return res.body, nil
-				}
-			}
-			status, body, msg := s.measureCanonical(sc, rawQuery)
-			if status != 200 {
-				return nil, &statusError{status: status, msg: msg}
-			}
-			if pushOwner != "" {
-				s.cluster.Push(pushOwner, cluster.LayerRaw, []byte(rawQuery), body)
-			}
-			return body, nil
-		})
-		if err != nil {
-			if se, ok := err.(*statusError); ok {
-				return se.status, nil, se.msg
-			}
-			return 500, nil, err.Error()
-		}
-		return 200, body, ""
+	if !s.rawFrontEngages(rawQuery) {
+		return s.measureCanonical(sc, rawQuery)
 	}
-	return s.measureCanonical(sc, rawQuery)
+	body, _, _, err := readThrough(s, s.rawCache, hashKey(rawQuery), rawQuery, spillLayerRaw, cluster.LayerRaw, func() ([]byte, int64, error) {
+		// With coalescing on, hand the raw query to the admission batcher
+		// before any parsing: the flush shares the decode, moments and
+		// render across the herd. We are this spelling's flight leader, so
+		// the raw front still caches whatever comes back. A rejected
+		// submit (queue full, draining) falls through to the inline path.
+		if b := s.batcher; b != nil {
+			if res, ok := b.submitRaw(rawQuery); ok {
+				if res.status != 200 {
+					return nil, 0, &statusError{status: res.status, msg: res.msg}
+				}
+				return res.body, 0, nil
+			}
+		}
+		status, body, msg := s.measureCanonical(sc, rawQuery)
+		if status != 200 {
+			return nil, 0, &statusError{status: status, msg: msg}
+		}
+		return body, 0, nil
+	})
+	if err != nil {
+		status, msg := errStatus(err)
+		return status, nil, msg
+	}
+	return 200, body, ""
 }
 
 // measureCanonical is the canonical-key layer: parse, canonicalize, sharded
-// lookup, singleflight-coalesced evaluation on a miss.
+// lookup, then the rest of the read order on a miss.
 func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []byte, string) {
 	m, status, msg := s.parseMeasureQuery(sc, rawQuery)
 	if status != 0 {
 		return status, nil, msg
 	}
 	sc.key = appendCanonicalKey(sc.key[:0], m, sc.rhos)
-	h := hashKey(sc.key)
-	if body, ok := s.cache.lookup(h, sc.key); ok {
-		return 200, body, ""
+	// Each request consults at most ONE peer layer — the one it will be
+	// cached at: a large query already did its peer work at the raw front,
+	// and repeating it here would double the (key-sized) upload and the tail
+	// for a fetch that can only hit when the same cluster was warmed under a
+	// different spelling.
+	peer := cluster.LayerCanonical
+	if s.rawFrontEngages(rawQuery) {
+		peer = 0
 	}
-	// Miss: evaluate and encode under singleflight, so a burst of identical
-	// misses costs one evaluation. The closure allocates (it escapes), which
-	// is part of the documented miss-path allocation budget. With coalescing
-	// on, the evaluation is handed to the admission batcher instead — we are
-	// this key's flight leader, so the body the flush computes is published
-	// here exactly as an inline evaluation would be; a rejected submit falls
+	// A miss evaluates and encodes under singleflight, so a burst of
+	// identical misses costs one evaluation. With coalescing on, the
+	// evaluation is handed to the admission batcher instead — we are this
+	// key's flight leader, so the body the flush computes is published here
+	// exactly as an inline evaluation would be; a rejected submit falls
 	// through to the inline path.
-	body, _, err := s.cache.fill(h, sc.key, func() ([]byte, error) {
-		// Spill tier: disk before peers, peers before evaluation. A hit
-		// returns the stored bytes verbatim (CRC-checked); the fill
-		// insert promotes them back into the memory tier. In
-		// write-through mode this is also the warm-restart path: the key
-		// was persisted at admission (or by the shutdown flush), so a
-		// reopened store answers here with zero re-evaluations.
-		if b, ok := s.spillGet(spillLayerCanonical, string(sc.key)); ok {
-			return b, nil
-		}
-		// Fleet tier: on a miss of a peer-owned key, ask the owner for the
-		// cached bytes before evaluating (hedged; never triggers evaluation
-		// on the owner). Timeout or error falls through to the local paths
-		// below — a degraded fleet serves exactly as a single replica would —
-		// and the locally computed body is then offered back to the owner so
-		// the fleet still converges on one evaluation per key. Each request
-		// consults at most ONE peer layer — the one it will be cached at: a
-		// large query already did its peer work at the raw front above, and
-		// repeating it here would double the (key-sized) upload and the tail
-		// for a fetch that can only hit when the same cluster was warmed
-		// under a different spelling.
-		var pushOwner string
-		if cl := s.cluster; cl != nil && !s.rawFrontEngages(rawQuery) {
-			if owner, self := cl.Owner(h); !self {
-				if b, ok := cl.Fetch(owner, cluster.LayerCanonical, sc.key); ok {
-					return b, nil
-				}
-				pushOwner = owner
-			}
-		}
+	body, _, _, err := readThrough(s, s.cache, hashKey(sc.key), sc.key, spillLayerCanonical, peer, func() ([]byte, int64, error) {
 		if b := s.batcher; b != nil {
 			if out, ok := b.submitParsed(m, sc.rhos); ok {
-				if pushOwner != "" {
-					s.cluster.Push(pushOwner, cluster.LayerCanonical, sc.key, out)
-				}
-				return out, nil
+				return out, 0, nil
 			}
 		}
 		s.measureEvals.Add(1)
@@ -231,10 +153,7 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		sc.enc = appendMeasureResponse(sc.enc[:0], sc.rhos, fm)
 		out := make([]byte, len(sc.enc))
 		copy(out, sc.enc)
-		if pushOwner != "" {
-			s.cluster.Push(pushOwner, cluster.LayerCanonical, sc.key, out)
-		}
-		return out, nil
+		return out, 0, nil
 	})
 	if err != nil {
 		return 500, nil, err.Error()

@@ -29,13 +29,13 @@ const (
 )
 
 // serveQueryCached serves one GET query endpoint through the raw front
-// cache: queries of at least rawFastPathMinQuery bytes are looked up (and
-// filled, coalescing concurrent identical misses) under prefix+rawQuery;
-// smaller ones render directly. render returns (status, body, errMsg) with
-// the body newline-terminated; non-200 outcomes propagate to every
-// coalesced waiter and are never cached.
+// cache: queries of at least rawFastPathMinQuery bytes are read through the
+// memory and spill tiers (no peers) under prefix+rawQuery, coalescing
+// concurrent identical misses; smaller ones render directly. render returns
+// (status, body, errMsg) with the body newline-terminated; non-200 outcomes
+// propagate to every coalesced waiter and are never cached.
 func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string, render func(string) (int, []byte, string)) {
-	if len(rawQuery) < rawFastPathMinQuery || s.rawCache == nil || s.rawCache.capacity <= 0 {
+	if len(rawQuery) < rawFastPathMinQuery || s.rawCache.capacity <= 0 {
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
 			writeError(w, status, msg)
@@ -45,34 +45,16 @@ func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string
 		return
 	}
 	key := prefix + rawQuery
-	h := hashString(key)
-	if body, ok := s.rawCache.lookupStr(h, key); ok {
-		s.drainResizes()
-		writeRawJSON(w, http.StatusOK, body)
-		return
-	}
-	body, _, err := s.rawCache.fillStr(h, key, func() ([]byte, error) {
-		// Spill tier: the prefixed key is namespaced inside the raw
-		// layer, so a compare/speedup entry — evicted, or persisted at
-		// admission in write-through mode — round-trips through disk (and
-		// restarts) under the same spelling. Hit → promoted by the fill
-		// insert.
-		if b, ok := s.spillGet(spillLayerRaw, key); ok {
-			return b, nil
-		}
+	body, _, _, err := readThrough(s, s.rawCache, hashKey(key), key, spillLayerRaw, 0, func() ([]byte, int64, error) {
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
-			return nil, &statusError{status: status, msg: msg}
+			return nil, 0, &statusError{status: status, msg: msg}
 		}
-		return body, nil
+		return body, 0, nil
 	})
-	s.drainResizes()
 	if err != nil {
-		if se, ok := err.(*statusError); ok {
-			writeError(w, se.status, se.msg)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
+		status, msg := errStatus(err)
+		writeError(w, status, msg)
 		return
 	}
 	writeRawJSON(w, http.StatusOK, body)

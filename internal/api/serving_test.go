@@ -251,7 +251,7 @@ func TestCacheDisabled(t *testing.T) {
 func TestResponseCacheConcurrency(t *testing.T) {
 	// Hammer one cache from many goroutines; the race detector (tier-1 runs
 	// this package under -race) does the real checking.
-	c := newResponseCache(8)
+	c := newCache(cacheOptions{entries: 8, maxBytes: DefaultCacheBytes, coalesce: true})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -259,8 +259,8 @@ func TestResponseCacheConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%16)
-				if _, ok := c.Get(key); !ok {
-					c.Put(key, []byte(key))
+				if _, ok := cacheGet(c, key); !ok {
+					put(c, key, []byte(key))
 				}
 			}
 		}(g)

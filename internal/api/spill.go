@@ -11,11 +11,11 @@ import (
 // Spill-tier wiring: internal/spill is the bounded on-disk second-level
 // cache under the in-memory response caches. Each memory layer gets an
 // eviction sink that offers the evicted (key, body) to a bounded queue;
-// one background writer drains it into the store. Reads consult the
-// store inside the singleflight fill closures — after every in-memory
-// layer, before peer fetch and before local evaluation — so a spill hit
-// is promoted back into memory by the normal fill insert and pushed to
-// no peer. Keys are namespaced with one layer byte so the three memory
+// one background writer drains it into the store. Reads happen in
+// readThrough, as the key's singleflight leader — after the memory layer,
+// before peer fetch and before local evaluation — so a spill hit is
+// promoted back into memory by the normal fill insert and pushed to no
+// peer. Keys are namespaced with one layer byte so the three memory
 // layers can never alias each other on disk.
 const (
 	spillLayerCanonical byte = 'c' // canonical measure cache keys
@@ -83,15 +83,6 @@ func (s *Server) EnableSpill(store *spill.Store) {
 // EnableSpillOptions is EnableSpill with explicit options (write-through
 // durability mode for heterod's -spill-write-through flag).
 func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
-	if s.cache == nil {
-		s.cache = newResponseCache(DefaultMeasureCacheSize)
-	}
-	if s.rawCache == nil {
-		s.rawCache = newResponseCache(s.cache.capacity)
-	}
-	if s.batchRawCache == nil {
-		s.batchRawCache = newResponseCache(s.cache.capacity)
-	}
 	t := &spillTier{
 		store:        store,
 		queue:        make(chan spillItem, spillQueueEntries),
@@ -100,13 +91,28 @@ func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
 	}
 	go t.writeLoop()
 	s.spill = t
-	s.cache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerCanonical, key, body) })
-	s.rawCache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerRaw, key, body) })
-	s.batchRawCache.setEvictSink(func(key string, body []byte) { t.offer(spillLayerBatch, key, body) })
-	if opts.WriteThrough {
-		s.cache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerCanonical, key, body) })
-		s.rawCache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerRaw, key, body) })
-		s.batchRawCache.setInsertSink(func(key string, body []byte) { t.offer(spillLayerBatch, key, body) })
+	for _, l := range s.memoryLayers() {
+		sink := func(key string, body []byte) { t.offer(l.spill, key, body) }
+		var insert func(key string, body []byte)
+		if opts.WriteThrough {
+			insert = sink
+		}
+		l.cache.setSinks(sink, insert)
+	}
+}
+
+// memoryLayer pairs a memory cache with its spill layer byte.
+type memoryLayer struct {
+	spill byte
+	cache *responseCache
+}
+
+// memoryLayers lists the three memory layers, canonical first.
+func (s *Server) memoryLayers() []memoryLayer {
+	return []memoryLayer{
+		{spillLayerCanonical, s.cache},
+		{spillLayerRaw, s.rawCache},
+		{spillLayerBatch, s.batchRawCache},
 	}
 }
 
@@ -152,14 +158,8 @@ func (s *Server) flushResident(t *spillTier) {
 			return true
 		}
 	}
-	if s.cache != nil {
-		s.cache.forEachEntry(snapshot(spillLayerCanonical))
-	}
-	if s.rawCache != nil {
-		s.rawCache.forEachEntry(snapshot(spillLayerRaw))
-	}
-	if s.batchRawCache != nil {
-		s.batchRawCache.forEachEntry(snapshot(spillLayerBatch))
+	for _, l := range s.memoryLayers() {
+		l.cache.forEachEntry(snapshot(l.spill))
 	}
 	for _, it := range pending {
 		if t.store.Put(spillKey(it.layer, it.key), it.body) {
@@ -208,36 +208,33 @@ func (t *spillTier) writeLoop() {
 	}
 }
 
-func spillKey(layer byte, key string) string {
-	return string(layer) + key
-}
-
-// spillBatchKey builds the batch-layer store key straight from the raw
-// body bytes in a single allocation. Once the body is read, it is the only
-// O(body) copy on the streamed spill-hit path, over HTTP (serveBatchLarge, whose memory front
-// keys on the same string past the layer byte) and in-process
-// (BatchBodyStream) alike; benchserve certifies that path's peak memory.
-func spillBatchKey(body []byte) string {
+// spillKey builds the store key of a memory-layer key — the layer byte,
+// then the key — in a single allocation for either key type. For a batch
+// body it is the only O(body) copy on the streamed spill-hit path, over
+// HTTP (serveBatchLarge, whose memory front keys on the same string past
+// the layer byte) and in-process (BatchBodyStream) alike; benchserve
+// certifies that path's peak memory.
+func spillKey[K cacheKey](layer byte, key K) string {
 	var b strings.Builder
-	b.Grow(1 + len(body))
-	b.WriteByte(spillLayerBatch)
-	b.Write(body)
+	b.Grow(1 + len(key))
+	b.WriteByte(layer)
+	b.Write([]byte(key))
 	return b.String()
 }
 
-// spillGet consults the disk tier for a memory-layer key. Callers sit
-// inside a singleflight fill closure, so a hit is promoted back into
-// the memory tier by the insert that follows the closure's return.
-func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
+// spillGet consults the disk tier for a store key (spillKey). Its caller,
+// readThrough, sits inside a singleflight fill closure, so a hit is
+// promoted back into the memory tier by the insert that follows.
+func (s *Server) spillGet(storeKey string) ([]byte, bool) {
 	t := s.spill
 	if t == nil {
 		return nil, false
 	}
-	return t.store.Get(spillKey(layer, key))
+	return t.store.Get(storeKey)
 }
 
 // spillOpenStreamKey pins a CRC-verified streaming handle for a store key
-// (spillKey, or spillBatchKey for a batch body) so the body can be served
+// (spillKey) so the body can be served
 // chunk by chunk in O(chunk) memory. nil when spill is off or the key
 // misses.
 func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
@@ -249,7 +246,7 @@ func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
 }
 
 // spillBeginKey starts a streamed tee of a batch response into the spill
-// tier under a store key (spillBatchKey); nil when spill is off (callers
+// tier under a store key (spillKey); nil when spill is off (callers
 // must tolerate nil).
 func (s *Server) spillBeginKey(storeKey string) *spill.Appender {
 	t := s.spill
