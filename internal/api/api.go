@@ -74,7 +74,7 @@ type Server struct {
 	StreamBatchThreshold int
 
 	cache                *responseCache
-	rawCache             *responseCache  // raw-query front layer for large queries
+	rawCache             *responseCache  // raw-query front layer: exact spelling → body
 	batchRawCache        *responseCache  // raw body-front layer for /v1/batch
 	batcher              *measureBatcher // cross-request coalescing admission batcher (nil = off)
 	cluster              *cluster.Peers  // fleet cache tier (nil = single-replica)

@@ -73,12 +73,11 @@ func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
 // work-units estimate picks the render path.
 //
 // A front hit probes with the body bytes and copies nothing. A miss copies
-// the body once, into the spill store key (spillKey); the memory front keys
-// on the same bytes past the layer byte, so the spill stream, the spill tee
-// and the front's fill share that one O(body) allocation.
+// the body once, into a string key that the spill stream, the spill tee and
+// the front's fill all share: that is the path's one O(body) allocation.
 func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
 	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
-	var storeKey string
+	var key string
 	h := hashKey(body)
 	if front {
 		if resp, meta, ok := get(s.batchRawCache, h, body); ok {
@@ -86,7 +85,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 			writeRawJSON(w, http.StatusOK, resp)
 			return
 		}
-		storeKey = spillKey(spillLayerBatch, body)
+		key = string(body)
 		// Spill tier: a response for these exact body bytes — evicted from
 		// the memory front or teed off an earlier stream — serves straight
 		// from the segment reader, fragment-by-fragment, before any decode.
@@ -95,7 +94,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 		// record's CRC and key were fully verified by OpenVerified before
 		// the first byte goes out, so corruption can never reach a client —
 		// it reads as a miss and the request falls through to evaluation.
-		if ent, ok := s.spillOpenStreamKey(storeKey); ok {
+		if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
 			defer ent.Close()
 			s.batchStreamed.Add(1)
 			w.Header().Set("Content-Type", "application/json")
@@ -113,7 +112,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 	}
 	s.noteBatch(len(profiles))
 	if s.shouldStreamBatch(profiles) {
-		s.streamBatch(r.Context(), w, m, profiles, storeKey)
+		s.streamBatch(r.Context(), w, m, profiles, key)
 		return
 	}
 	if !front {
@@ -122,7 +121,7 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 	}
 	// The spill tier was read above as a stream, so the buffered fill skips
 	// it; a herd of identical misses still renders once.
-	resp, _, src, err := readThrough(s, s.batchRawCache, h, storeKey[1:], 0, 0, func() ([]byte, int64, error) {
+	resp, _, src, err := readThrough(s, s.batchRawCache, h, key, 0, 0, func() ([]byte, int64, error) {
 		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
 	})
 	if err != nil {
@@ -137,12 +136,12 @@ func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []
 
 // streamBatch writes one decoded batch response incrementally to an HTTP
 // response, flushing after every fragment so the peak buffered state —
-// ours and net/http's — stays O(one fragment). A non-empty storeKey
-// (spillKey) also copies the streamed bytes into a spill appender
+// ours and net/http's — stays O(one fragment). A non-empty key (the request
+// body) also copies the streamed bytes into a spill appender
 // (its private segment file), committed only when the stream completes
 // cleanly — an error trailer or snapped connection aborts the tee so no
 // truncated response can ever be served later.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, storeKey string) {
+func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, key string) {
 	if err := ctx.Err(); err != nil {
 		// Nothing written yet: a plain error status is still possible.
 		writeError(w, http.StatusServiceUnavailable, "request cancelled before streaming began")
@@ -153,8 +152,8 @@ func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model
 	w.WriteHeader(http.StatusOK)
 	dst := io.Writer(w)
 	var ap *spill.Appender
-	if storeKey != "" {
-		if ap = s.spillBeginKey(storeKey); ap != nil {
+	if key != "" {
+		if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
 			// Appender writes never fail the client stream: errors are
 			// remembered inside and surface as a failed Commit.
 			dst = io.MultiWriter(w, ap)
@@ -233,10 +232,10 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 	// byte-for-byte the historical one): serve a stored response for
 	// these exact body bytes fragment-by-fragment from the segment
 	// reader, or tee the freshly rendered stream into the spill store.
-	storeKey := ""
+	key := ""
 	if s.spill != nil && len(body) >= batchRawMinBody {
-		storeKey = spillKey(spillLayerBatch, body)
-		if ent, ok := s.spillOpenStreamKey(storeKey); ok {
+		key = string(body)
+		if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
 			s.batchStreamed.Add(1)
 			err := s.copySpillStream(w, func() {}, ent)
 			ent.Close()
@@ -251,8 +250,8 @@ func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) 
 	s.batchStreamed.Add(1)
 	dst := w
 	var ap *spill.Appender
-	if storeKey != "" {
-		if ap = s.spillBeginKey(storeKey); ap != nil {
+	if key != "" {
+		if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
 			dst = io.MultiWriter(w, ap)
 		}
 	}

@@ -115,7 +115,7 @@ func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []
 	default:
 		return false
 	}
-	ent, ok := s.spillOpenStreamKey(spillKey(slayer, key))
+	ent, ok := s.spillOpenStream(slayer, string(key))
 	if !ok {
 		return false
 	}
@@ -189,8 +189,9 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		put(s.cache, key, append([]byte(nil), body...))
 	case cluster.LayerRaw:
 		if len(key) < rawFastPathMinQuery {
-			// The raw front only ever caches large spellings; a small raw key
-			// is a protocol violation, not a cache policy question.
+			// Peers exchange raw-front keys only at or above the threshold
+			// (below it the canonical layer is the peer layer); a small raw
+			// key is a protocol violation, not a cache policy question.
 			reject("peer put: raw key below front-layer threshold")
 			return
 		}

@@ -452,7 +452,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 	}
 	key := appendCanonicalKey(nil, m, sc.rhos)
 	waitSpill(t, "write-through offer to land", func() bool {
-		_, ok := s0.spillGet(spillKey(spillLayerCanonical, key))
+		_, ok := s0.spillGet(spillLayerCanonical, string(key))
 		return ok
 	})
 	for _, fq := range owned[1:] {

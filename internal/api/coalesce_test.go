@@ -331,3 +331,50 @@ func TestCoalesceStressDelivery(t *testing.T) {
 		t.Errorf("completed %d of %d requests", total, workers*iters)
 	}
 }
+
+// TestCoalesceSmallQueriesSubmitParsed: with the spelling front consulted
+// at every size, small queries still reach the admission batcher only
+// after the parse. A herd mixing two spellings of one small profile
+// evaluates once and serves identical bytes, and raw_submitted stays 0
+// until a spelling of at least rawFastPathMinQuery bytes arrives.
+func TestCoalesceSmallQueriesSubmitParsed(t *testing.T) {
+	srv := NewServer()
+	srv.EnableCoalesce(CoalesceConfig{MaxBatch: 32, MaxWait: 20 * time.Millisecond})
+	defer srv.CloseCoalesce()
+
+	spellings := []string{"profile=1,0.5,0.25", "profile=1,5e-1,2.5e-1"}
+	const herd = 16
+	bodies := make([]string, herd)
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			o := measureOutcomeOf(srv, spellings[i%2])
+			if o.status != 200 {
+				t.Errorf("query %d: %s", i, truncOutcome(o))
+			}
+			bodies[i] = o.body
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if b != bodies[0] {
+			t.Fatalf("spelling %q served different bytes:\n got %.120q\nwant %.120q", spellings[i%2], b, bodies[0])
+		}
+	}
+	if evals := srv.MeasureEvals(); evals != 1 {
+		t.Fatalf("two spellings of one profile evaluated %d times, want 1", evals)
+	}
+	co := statzOf(t, srv).Coalesce
+	if co.Submitted != 1 || co.RawSubmitted != 0 {
+		t.Fatalf("small queries: submitted %d, raw_submitted %d; want 1 and 0", co.Submitted, co.RawSubmitted)
+	}
+
+	if o := measureOutcomeOf(srv, "profile="+bigProfileVal(4, 900)); o.status != 200 {
+		t.Fatalf("large query: %s", truncOutcome(o))
+	}
+	if co := statzOf(t, srv).Coalesce; co.RawSubmitted != 1 {
+		t.Fatalf("large query: raw_submitted %d, want 1", co.RawSubmitted)
+	}
+}

@@ -17,11 +17,13 @@ import (
 // The /v1/measure hot path. GET /v1/measure is the service's dominant
 // traffic shape, and — FIFO optimality depending only on the profile — the
 // steady state is overwhelmingly cache hits. This file makes that steady
-// state allocation-free: the query is parsed by slicing the raw string (no
-// url.Values map), the canonical key is built into a pooled byte buffer,
-// and the cache is probed with the compiler's string(bytes) map-lookup
-// optimization. The alloc gates in measure_alloc_test.go pin the cached
-// path to 0 allocs/op and bound the miss path.
+// state allocation-free: a repeated spelling is answered by probing the
+// raw-query front with the query string itself; a new spelling is parsed
+// by slicing the raw string (no url.Values map), its canonical key is built
+// into a pooled byte buffer, and the canonical cache is probed with the
+// compiler's string(bytes) map-lookup optimization. The alloc gates in
+// measurepath_test.go pin the cached path to 0 allocs/op and bound the
+// miss path.
 //
 // Pool ownership rule: a measureScratch belongs to exactly one request from
 // Get to Put; nothing it holds may outlive the request. Bodies handed to
@@ -61,19 +63,18 @@ func (s *Server) MeasureQuery(rawQuery string) (status int, body []byte) {
 }
 
 // rawFastPathMinQuery is the query length at which the raw-query front
-// cache engages. Parsing and canonical-key building cost O(len(query)); for
-// large profiles they rival the evaluation itself, so a herd of identical
-// large requests gains little from coalescing at the canonical layer alone
-// — every member still pays the parse. Above this threshold the raw
-// RawQuery string is itself a cache key checked before any parsing: an
-// exact-spelling hit (or coalesced wait) skips the parse entirely. Below
-// it, parsing costs microseconds and the canonical layer's exact-LRU
-// behavior (which small-cache tests pin) is preserved untouched.
+// takes on the tiers behind it. Every query is probed at the front by its
+// exact RawQuery string (see measure), but only at or above this length
+// does a front miss read spill layer 'r', fetch from a peer at
+// cluster.LayerRaw, or hand the raw query to the admission batcher. Below
+// it, parsing costs microseconds and the canonical layer's own tiers serve
+// the miss; a spelling under the gate is a memory-only entry.
 const rawFastPathMinQuery = 4096
 
-// rawFrontEngages reports whether rawQuery is served through the raw-query
-// front cache. The fleet tier keys off this too: a request does its peer
-// fetch/push at the layer it will be cached at, and only there.
+// rawFrontEngages reports whether a miss of rawQuery at the raw-query front
+// goes to the front's own tiers (spill 'r', cluster.LayerRaw, submitRaw)
+// rather than straight to the canonical layer. The fleet tier keys off this
+// too: a request does its peer fetch/push at exactly one layer.
 func (s *Server) rawFrontEngages(rawQuery string) bool {
 	return len(rawQuery) >= rawFastPathMinQuery && s.rawCache.capacity > 0
 }
@@ -81,24 +82,33 @@ func (s *Server) rawFrontEngages(rawQuery string) bool {
 // measure is the hot path shared by handleMeasure and MeasureQuery. On
 // error it returns (status, nil, message); on success (200, body, "").
 //
-// Large queries go through the raw-query front cache first — exact
-// RawQuery string → body, nginx-style — so repeated identical spellings
-// skip the parse, and a spill or raw-layer peer hit skips it too. Different
-// spellings of the same cluster still unify at the canonical layer below.
-// The raw layer never caches errors, and its mapping is deterministic (the
+// Every query goes through the raw-query front cache first — exact
+// RawQuery string → body, nginx-style — so a repeated spelling of any size
+// skips the parse: one hashKey and one map probe. Different spellings of
+// the same cluster still unify at the canonical layer below, whose cached
+// body the front stores as is (no copy). Large spellings also read spill
+// and peers at the front (rawFrontEngages); small ones are memory-only
+// there and leave the spill and peer tiers to the canonical layer. The
+// raw layer never caches errors, and its mapping is deterministic (the
 // response depends only on the query), so a raw entry outliving its
 // canonical twin still serves correct bytes.
 func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, string) {
-	if !s.rawFrontEngages(rawQuery) {
+	if s.rawCache.capacity <= 0 {
 		return s.measureCanonical(sc, rawQuery)
 	}
-	body, _, _, err := readThrough(s, s.rawCache, hashKey(rawQuery), rawQuery, spillLayerRaw, cluster.LayerRaw, func() ([]byte, int64, error) {
-		// With coalescing on, hand the raw query to the admission batcher
-		// before any parsing: the flush shares the decode, moments and
-		// render across the herd. We are this spelling's flight leader, so
-		// the raw front still caches whatever comes back. A rejected
+	large := s.rawFrontEngages(rawQuery)
+	var spillLayer, peer byte
+	if large {
+		spillLayer, peer = spillLayerRaw, cluster.LayerRaw
+	}
+	body, _, _, err := readThrough(s, s.rawCache, hashKey(rawQuery), rawQuery, spillLayer, peer, func() ([]byte, int64, error) {
+		// With coalescing on, hand a large raw query to the admission
+		// batcher before any parsing: the flush shares the decode, moments
+		// and render across the herd. We are this spelling's flight leader,
+		// so the raw front still caches whatever comes back. A rejected
 		// submit (queue full, draining) falls through to the inline path.
-		if b := s.batcher; b != nil {
+		// Small queries submit after the parse, at the canonical layer.
+		if b := s.batcher; b != nil && large {
 			if res, ok := b.submitRaw(rawQuery); ok {
 				if res.status != 200 {
 					return nil, 0, &statusError{status: res.status, msg: res.msg}
@@ -127,8 +137,8 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 		return status, nil, msg
 	}
 	sc.key = appendCanonicalKey(sc.key[:0], m, sc.rhos)
-	// Each request consults at most ONE peer layer — the one it will be
-	// cached at: a large query already did its peer work at the raw front,
+	// Each request consults at most ONE peer layer: a large query already
+	// did its peer work at the raw front,
 	// and repeating it here would double the (key-sized) upload and the tail
 	// for a fetch that can only hit when the same cluster was warmed under a
 	// different spelling.

@@ -141,9 +141,9 @@ func TestMeasureQueryParsingMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestMeasureCachedPathZeroAlloc is the tentpole's steady-state gate: with
-// the cache warm, the measure hot path — raw-query parse, canonical key,
-// shard lookup — performs zero allocations per request.
+// TestMeasureCachedPathZeroAlloc is the steady-state gate: with the cache
+// warm, the measure hot path — a spelling-front probe for every query, a
+// respelled one included — performs zero allocations per request.
 func TestMeasureCachedPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -153,12 +153,14 @@ func TestMeasureCachedPathZeroAlloc(t *testing.T) {
 		"profile=1,0.5,0.25",
 		"profile=1,0.5,0.25&tau=0.01",
 		"profile=0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1,1",
+		"profile=1,5e-1,2.5e-1", // respelling of the first query
 	}
 	for _, q := range queries {
 		if status, _ := s.MeasureQuery(q); status != 200 { // warm the cache
 			t.Fatalf("warmup status for %q", q)
 		}
 	}
+	rawBefore, canonBefore := s.rawCache.counters().hits, s.cache.counters().hits
 	for _, q := range queries {
 		allocs := testing.AllocsPerRun(200, func() {
 			status, _ := s.MeasureQuery(q)
@@ -169,6 +171,12 @@ func TestMeasureCachedPathZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("cached measure path for %q: %v allocs/op, want 0", q, allocs)
 		}
+	}
+	// Every repeat, the respelling included, resolved at the spelling
+	// front: one map probe, no parse, no canonical lookup.
+	raw, canon := s.rawCache.counters().hits-rawBefore, s.cache.counters().hits-canonBefore
+	if raw < uint64(200*len(queries)) || canon != 0 {
+		t.Errorf("repeats: %d spelling-front hits, %d canonical hits; want ≥ %d and 0", raw, canon, 200*len(queries))
 	}
 }
 

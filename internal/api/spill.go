@@ -1,7 +1,6 @@
 package api
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -15,8 +14,9 @@ import (
 // readThrough, as the key's singleflight leader — after the memory layer,
 // before peer fetch and before local evaluation — so a spill hit is
 // promoted back into memory by the normal fill insert and pushed to no
-// peer. Keys are namespaced with one layer byte so the three memory
-// layers can never alias each other on disk.
+// peer. Each memory layer is its own spill.Layer, namespaced on disk by
+// one layer byte, so the three memory layers can never alias each other;
+// keys go to the store as they are, never concatenated with that byte.
 const (
 	spillLayerCanonical byte = 'c' // canonical measure cache keys
 	spillLayerRaw       byte = 'r' // raw-query front keys (incl. compare/speedup prefixes)
@@ -92,7 +92,11 @@ func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
 	go t.writeLoop()
 	s.spill = t
 	for _, l := range s.memoryLayers() {
-		sink := func(key string, body []byte) { t.offer(l.spill, key, body) }
+		sink := func(key string, body []byte) {
+			if len(key) >= l.minKey {
+				t.offer(l.spill, key, body)
+			}
+		}
 		var insert func(key string, body []byte)
 		if opts.WriteThrough {
 			insert = sink
@@ -101,18 +105,24 @@ func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
 	}
 }
 
-// memoryLayer pairs a memory cache with its spill layer byte.
+// memoryLayer pairs a memory cache with its spill layer byte. Keys shorter
+// than minKey stay out of spill: the raw front holds every /v1/measure
+// spelling, but only spellings of at least rawFastPathMinQuery bytes are
+// ever read from spill layer 'r' (smaller ones read the canonical layer's
+// 'c' behind the front), so writing the rest would fill the disk with
+// records no read looks up.
 type memoryLayer struct {
-	spill byte
-	cache *responseCache
+	spill  byte
+	minKey int
+	cache  *responseCache
 }
 
 // memoryLayers lists the three memory layers, canonical first.
 func (s *Server) memoryLayers() []memoryLayer {
 	return []memoryLayer{
-		{spillLayerCanonical, s.cache},
-		{spillLayerRaw, s.rawCache},
-		{spillLayerBatch, s.batchRawCache},
+		{spillLayerCanonical, 0, s.cache},
+		{spillLayerRaw, rawFastPathMinQuery, s.rawCache},
+		{spillLayerBatch, 0, s.batchRawCache},
 	}
 }
 
@@ -147,22 +157,25 @@ func (s *Server) CloseSpill() {
 func (s *Server) flushResident(t *spillTier) {
 	var pending []spillItem
 	var budget int64 = spillFlushMaxBytes
-	snapshot := func(layer byte) func(key string, body []byte) bool {
+	snapshot := func(l memoryLayer) func(key string, body []byte) bool {
 		return func(key string, body []byte) bool {
+			if len(key) < l.minKey {
+				return true
+			}
 			cost := int64(len(key) + len(body))
 			if cost > budget {
 				return false
 			}
 			budget -= cost
-			pending = append(pending, spillItem{layer: layer, key: key, body: body})
+			pending = append(pending, spillItem{layer: l.spill, key: key, body: body})
 			return true
 		}
 	}
 	for _, l := range s.memoryLayers() {
-		l.cache.forEachEntry(snapshot(l.spill))
+		l.cache.forEachEntry(snapshot(l))
 	}
 	for _, it := range pending {
-		if t.store.Put(spillKey(it.layer, it.key), it.body) {
+		if t.store.Layer(it.layer).Put(it.key, it.body) {
 			t.flushed.Add(1)
 		} else {
 			t.failedWrites.Add(1)
@@ -201,59 +214,44 @@ func (t *spillTier) offer(layer byte, key string, body []byte) {
 func (t *spillTier) writeLoop() {
 	defer close(t.done)
 	for it := range t.queue {
-		if !t.store.Put(spillKey(it.layer, it.key), it.body) {
+		if !t.store.Layer(it.layer).Put(it.key, it.body) {
 			t.failedWrites.Add(1)
 		}
 		t.queuedBytes.Add(-int64(len(it.key) + len(it.body)))
 	}
 }
 
-// spillKey builds the store key of a memory-layer key — the layer byte,
-// then the key — in a single allocation for either key type. For a batch
-// body it is the only O(body) copy on the streamed spill-hit path, over
-// HTTP (serveBatchLarge, whose memory front keys on the same string past
-// the layer byte) and in-process (BatchBodyStream) alike; benchserve
-// certifies that path's peak memory.
-func spillKey[K cacheKey](layer byte, key K) string {
-	var b strings.Builder
-	b.Grow(1 + len(key))
-	b.WriteByte(layer)
-	b.Write([]byte(key))
-	return b.String()
-}
-
-// spillGet consults the disk tier for a store key (spillKey). Its caller,
+// spillGet consults the disk tier for key in one layer. Its caller,
 // readThrough, sits inside a singleflight fill closure, so a hit is
 // promoted back into the memory tier by the insert that follows.
-func (s *Server) spillGet(storeKey string) ([]byte, bool) {
+func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
 	t := s.spill
 	if t == nil {
 		return nil, false
 	}
-	return t.store.Get(storeKey)
+	return t.store.Layer(layer).Get(key)
 }
 
-// spillOpenStreamKey pins a CRC-verified streaming handle for a store key
-// (spillKey) so the body can be served
-// chunk by chunk in O(chunk) memory. nil when spill is off or the key
-// misses.
-func (s *Server) spillOpenStreamKey(storeKey string) (*spill.Entry, bool) {
+// spillOpenStream pins a CRC-verified streaming handle for key in one
+// layer so the body can be served chunk by chunk in O(chunk) memory. nil
+// when spill is off or the key misses.
+func (s *Server) spillOpenStream(layer byte, key string) (*spill.Entry, bool) {
 	t := s.spill
 	if t == nil {
 		return nil, false
 	}
-	return t.store.OpenVerified(storeKey)
+	return t.store.Layer(layer).OpenVerified(key)
 }
 
-// spillBeginKey starts a streamed tee of a batch response into the spill
-// tier under a store key (spillKey); nil when spill is off (callers
-// must tolerate nil).
-func (s *Server) spillBeginKey(storeKey string) *spill.Appender {
+// spillBegin starts a streamed tee of a batch response into the spill
+// tier under key in one layer; nil when spill is off (callers must
+// tolerate nil).
+func (s *Server) spillBegin(layer byte, key string) *spill.Appender {
 	t := s.spill
 	if t == nil {
 		return nil
 	}
-	return t.store.Begin(storeKey)
+	return t.store.Layer(layer).Begin(key)
 }
 
 // SpillStats is the /v1/statz view of the on-disk spill tier.

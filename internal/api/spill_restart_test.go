@@ -204,3 +204,117 @@ func TestSpillRestartTornTailRecovery(t *testing.T) {
 		t.Fatalf("post-recovery server ran %d evaluations, want 0", evals)
 	}
 }
+
+// rawRecords scans every segment under dir and counts the spill layer 'r'
+// records by stored key length: below rawFastPathMinQuery (small) or not.
+func rawRecords(t *testing.T, dir string) (small, large int) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range segs {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spill.ScanRecords(f, fi.Size(), func(_ int64, _, _ uint32, key []byte) {
+			if key[0] != spillLayerRaw {
+				return
+			}
+			if len(key)-1 < rawFastPathMinQuery {
+				small++
+			} else {
+				large++
+			}
+		})
+		f.Close()
+	}
+	return small, large
+}
+
+// TestSpillWriteSetEqualsReadSet: spill layer 'r' is only ever read for
+// spellings of at least rawFastPathMinQuery bytes, so it is only ever
+// written for them. Through the write-through insert, the evict sink and
+// the shutdown flush alike, small spellings leave no 'r' record and the
+// large one leaves exactly one. After a warm restart, the small queries —
+// plain and respelled — are served from layer 'c' with zero evaluations.
+func TestSpillWriteSetEqualsReadSet(t *testing.T) {
+	small := []string{"profile=1,0.5,0.25", "profile=1,0.5,0.125&tau=0.01", "profile=0.75,1"}
+	respelled := []string{"profile=1,5e-1,2.5e-1", "profile=1.0,0.50,0.1250&tau=1e-2", "profile=7.5e-1,1"}
+	large := largeTestQuery(1024, 11)
+	serve := func(s *Server, queries ...string) [][]byte {
+		t.Helper()
+		bodies := make([][]byte, len(queries))
+		for i, q := range queries {
+			status, body := s.MeasureQuery(q)
+			if status != 200 {
+				t.Fatalf("query %.60q: status %d", q, status)
+			}
+			bodies[i] = body
+		}
+		return bodies
+	}
+	open := func(dir string) *spill.Store {
+		st, err := spill.Open(spill.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, path := range []string{"insert", "evict", "flush"} {
+		t.Run(path, func(t *testing.T) {
+			dir := t.TempDir()
+			var s *Server
+			switch path {
+			case "insert":
+				s = newWriteThroughServer(t, dir)
+			case "evict":
+				// Two entries per layer: every spelling is evicted by the
+				// ones served after it, the large one included.
+				s = NewServerWithCache(CacheConfig{Entries: 2, MaxBytes: -1, Shards: 1, Coalesce: true})
+				s.EnableSpill(open(dir))
+			case "flush":
+				s = NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: -1, Shards: 1, Coalesce: true})
+				s.EnableSpill(open(dir))
+			}
+			serve(s, large)
+			serve(s, small...)
+			serve(s, respelled...)
+			if path == "evict" && s.rawCache.counters().evicted < uint64(len(small)) {
+				t.Fatal("spellings were not evicted; this case must exercise the evict sink")
+			}
+			if path == "flush" {
+				s.flushResident(s.spill) // what CloseSpill runs in write-through mode
+			}
+			s.CloseSpill()
+			if n, m := rawRecords(t, dir); n != 0 || m != 1 {
+				t.Fatalf("'r' records: %d small, %d large; want 0 and 1", n, m)
+			}
+		})
+	}
+
+	dir := t.TempDir()
+	s1 := newWriteThroughServer(t, dir)
+	want := serve(s1, small...)
+	s1.CloseSpill()
+	s2 := newWriteThroughServer(t, dir)
+	t.Cleanup(s2.CloseSpill)
+	for _, queries := range [][]string{small, respelled} {
+		for i, body := range serve(s2, queries...) {
+			if !bytes.Equal(body, want[i]) {
+				t.Fatalf("restart %q diverged:\n got %q\nwant %q", queries[i], body, want[i])
+			}
+		}
+	}
+	if evals := s2.MeasureEvals(); evals != 0 {
+		t.Fatalf("restarted server ran %d evaluations, want 0", evals)
+	}
+	if hits := s2.spillStats().Hits; hits != uint64(len(small)) {
+		t.Fatalf("restarted server: %d spill hits, want %d (one 'c' read per cluster)", hits, len(small))
+	}
+}

@@ -133,7 +133,7 @@ func TestSpillRawFrontRoundtrip(t *testing.T) {
 	}
 	evalsWarm := s.MeasureEvals()
 	waitSpill(t, "raw evictions to land", func() bool {
-		_, ok := s.spillGet(spillKey(spillLayerRaw, mkQuery(0)))
+		_, ok := s.spillGet(spillLayerRaw, mkQuery(0))
 		return ok
 	})
 
@@ -180,7 +180,7 @@ func TestSpillBatchBufferedRoundtrip(t *testing.T) {
 		t.Fatalf("second batch: %d %s", status, msg)
 	}
 	waitSpill(t, "batch front eviction to land", func() bool {
-		_, ok := s.spillGet(spillKey(spillLayerBatch, body1))
+		_, ok := s.spillGet(spillLayerBatch, string(body1))
 		return ok
 	})
 	hits := s.spillStats().Hits

@@ -28,18 +28,20 @@ const (
 // stored verbatim and promoted into memory by the fill; an error from
 // compute reaches every coalesced waiter and is never cached.
 //
-// A []byte key is probed without copying. On a miss it is copied once:
-// into the spill store key when the spill tier is consulted (its suffix past
-// the layer byte then keys the memory entry too), else by the fill's insert.
+// A []byte key is probed without copying. On a miss it is copied once,
+// into a string that keys the spill read and the memory entry alike when
+// the spill tier is consulted, else by the fill's insert. A string key is
+// never copied.
 func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spillLayer, peer byte, compute func() ([]byte, int64, error)) ([]byte, int64, source, error) {
 	if body, meta, ok := get(c, h, key); ok {
 		return body, meta, fromMemory, nil
 	}
 	src := fromMemory
-	var storeKey string
+	useSpill := s.spill != nil && spillLayer != 0
+	var spillKey string
 	miss := func() ([]byte, int64, error) {
-		if storeKey != "" {
-			if b, ok := s.spillGet(storeKey); ok {
+		if useSpill {
+			if b, ok := s.spillGet(spillLayer, spillKey); ok {
 				src = fromSpill
 				return b, 0, nil
 			}
@@ -67,9 +69,9 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 	var meta int64
 	var coalesced bool
 	var err error
-	if s.spill != nil && spillLayer != 0 {
-		storeKey = spillKey(spillLayer, key)
-		body, meta, coalesced, err = fill(c, h, storeKey[1:], miss)
+	if useSpill {
+		spillKey = string(key)
+		body, meta, coalesced, err = fill(c, h, spillKey, miss)
 	} else {
 		body, meta, coalesced, err = fill(c, h, key, miss)
 	}

@@ -272,7 +272,7 @@ func (st *Store) recover() error {
 		}
 		seg := &segment{seq: seq, path: path, f: f, sealed: true}
 		validEnd, torn := ScanRecords(f, fi.Size(), func(off int64, keyLen, bodyLen uint32, key []byte) {
-			h := hashBytes(key)
+			h := hashKey(key[0], key[1:])
 			loc := entryLoc{seq: seq, off: off, keyLen: keyLen, bodyLen: bodyLen}
 			if old, ok := st.index[h]; ok {
 				st.markDeadLocked(old)
@@ -369,6 +369,60 @@ func (st *Store) indexBytesLocked() int64 {
 	return int64(len(st.index)) * indexEntryCost
 }
 
+// Layer is one key namespace of a Store. A record stores its key as the
+// layer id byte followed by the layer key, but no Layer method builds that
+// concatenation: the hash, the key comparison and the record write all
+// read the two parts in place, so a point read copies no key and a write
+// copies it once, into the record header buffer. The on-disk format (and
+// so recovery) is the same as for a whole store key whose first byte is
+// the id.
+type Layer struct {
+	st *Store
+	id byte
+}
+
+// Layer returns the namespace whose keys are stored behind the id byte.
+func (st *Store) Layer(id byte) Layer { return Layer{st: st, id: id} }
+
+// The whole-key methods below take a store key whose first byte is its
+// layer id; they are the Layer methods of that byte. An empty key misses
+// (or, for Put and Begin, is rejected).
+
+// Get is Layer(key[0]).Get(key[1:]).
+func (st *Store) Get(key string) ([]byte, bool) {
+	if key == "" {
+		st.misses.Add(1)
+		return nil, false
+	}
+	return st.Layer(key[0]).Get(key[1:])
+}
+
+// Put is Layer(key[0]).Put(key[1:], body).
+func (st *Store) Put(key string, body []byte) bool {
+	if key == "" {
+		st.rejected.Add(1)
+		return false
+	}
+	return st.Layer(key[0]).Put(key[1:], body)
+}
+
+// OpenVerified is Layer(key[0]).OpenVerified(key[1:]).
+func (st *Store) OpenVerified(key string) (*Entry, bool) {
+	if key == "" {
+		st.misses.Add(1)
+		return nil, false
+	}
+	return st.Layer(key[0]).OpenVerified(key[1:])
+}
+
+// Begin is Layer(key[0]).Begin(key[1:]).
+func (st *Store) Begin(key string) *Appender {
+	if key == "" {
+		return nil
+	}
+	return st.Layer(key[0]).Begin(key[1:])
+}
+
 // Put stores body under key, overwriting any previous entry. Entries
 // larger than the whole disk budget are rejected. Put never blocks on
 // readers of other segments; it appends to the shared active segment.
@@ -377,64 +431,72 @@ func (st *Store) indexBytesLocked() int64 {
 // same body); false means a rejection or an I/O failure, so callers
 // that promise durability — the evict writer, the shutdown flush — can
 // count what the store actually dropped.
-func (st *Store) Put(key string, body []byte) bool {
-	h := hashString(key)
-	rec := recordHeaderSize + int64(len(key)) + int64(len(body))
+func (l Layer) Put(key string, body []byte) bool {
+	st := l.st
+	h := hashKey(l.id, key)
+	keyLen := 1 + int64(len(key))
+	rec := recordHeaderSize + keyLen + int64(len(body))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return false
 	}
-	if rec > st.cfg.MaxBytes || len(key) == 0 || int64(len(key)) > maxFieldLen || int64(len(body)) > maxFieldLen {
+	if rec > st.cfg.MaxBytes || keyLen > maxFieldLen || int64(len(body)) > maxFieldLen {
 		st.rejected.Add(1)
 		return false
 	}
 	// Deterministic keys mean an identical-length live entry is the
 	// same body; skip the rewrite.
-	if old, ok := st.index[h]; ok && old.keyLen == uint32(len(key)) && old.bodyLen == uint32(len(body)) {
+	if old, ok := st.index[h]; ok && int64(old.keyLen) == keyLen && old.bodyLen == uint32(len(body)) {
 		return true
 	}
-	n := st.putLocked(h, key, body)
+	n := st.appendLocked(h, recordHead(l.id, key, body), body)
 	st.enforceBudgetsLocked()
 	st.kickCompactLocked()
 	return n > 0
 }
 
-// putLocked appends one record and returns its on-disk length, 0 when
-// the write was rejected or failed.
-func (st *Store) putLocked(h uint64, key string, body []byte) int64 {
+// recordHead frames a record's header and stored key (id ++ key) in one
+// buffer, CRC filled in over the key, the body and the lengths.
+func recordHead(id byte, key string, body []byte) []byte {
+	head := make([]byte, recordHeaderSize+1+len(key))
+	binary.LittleEndian.PutUint32(head[4:8], uint32(1+len(key)))
+	binary.LittleEndian.PutUint32(head[8:12], uint32(len(body)))
+	head[recordHeaderSize] = id
+	copy(head[recordHeaderSize+1:], key)
+	crc := crc32.ChecksumIEEE(head[recordHeaderSize:])
+	crc = crc32.Update(crc, crc32.IEEETable, body)
+	crc = crc32.Update(crc, crc32.IEEETable, head[4:12])
+	binary.LittleEndian.PutUint32(head[0:4], crc)
+	return head
+}
+
+// appendLocked appends one framed record — head (header and stored key,
+// as recordHead builds it or as a verified record holds it) then body —
+// and returns its on-disk length, 0 when the write was rejected or failed.
+func (st *Store) appendLocked(h uint64, head, body []byte) int64 {
 	seg, err := st.activeLocked()
 	if err != nil {
 		st.rejected.Add(1)
 		return 0
 	}
 	off := seg.size
-	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(key)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
-	crc := crc32.ChecksumIEEE([]byte(key))
-	crc = crc32.Update(crc, crc32.IEEETable, body)
-	crc = crc32.Update(crc, crc32.IEEETable, hdr[4:12])
-	binary.LittleEndian.PutUint32(hdr[0:4], crc)
-	if _, err := seg.f.WriteAt(hdr[:], off); err != nil {
+	if _, err := seg.f.WriteAt(head, off); err != nil {
 		st.rejected.Add(1)
 		return 0
 	}
-	if _, err := seg.f.WriteAt([]byte(key), off+recordHeaderSize); err != nil {
+	if _, err := seg.f.WriteAt(body, off+int64(len(head))); err != nil {
 		st.rejected.Add(1)
 		return 0
 	}
-	if _, err := seg.f.WriteAt(body, off+recordHeaderSize+int64(len(key))); err != nil {
-		st.rejected.Add(1)
-		return 0
-	}
-	rec := recordHeaderSize + int64(len(key)) + int64(len(body))
+	keyLen := uint32(len(head) - recordHeaderSize)
+	rec := int64(len(head)) + int64(len(body))
 	seg.size += rec
 	st.diskBytes += rec
 	if old, ok := st.index[h]; ok {
 		st.markDeadLocked(old)
 	}
-	st.index[h] = entryLoc{seq: seg.seq, off: off, keyLen: uint32(len(key)), bodyLen: uint32(len(body))}
+	st.index[h] = entryLoc{seq: seg.seq, off: off, keyLen: keyLen, bodyLen: uint32(len(body))}
 	seg.hashes = append(seg.hashes, h)
 	seg.live++
 	st.writes.Add(1)
@@ -505,8 +567,9 @@ func (st *Store) retireLocked(seq uint64) {
 // Get returns a copy of the body stored under key. A CRC failure or a
 // hash-collision key mismatch reads as a miss; corruption additionally
 // drops the index entry so the slot can be refilled.
-func (st *Store) Get(key string) ([]byte, bool) {
-	h := hashString(key)
+func (l Layer) Get(key string) ([]byte, bool) {
+	st := l.st
+	h := hashKey(l.id, key)
 	st.mu.RLock()
 	loc, ok := st.index[h]
 	if !ok || st.closed {
@@ -523,7 +586,8 @@ func (st *Store) Get(key string) ([]byte, bool) {
 		st.misses.Add(1)
 		return nil, false
 	}
-	if string(buf[recordHeaderSize:recordHeaderSize+int(loc.keyLen)]) != key {
+	stored := buf[recordHeaderSize : recordHeaderSize+int(loc.keyLen)]
+	if len(stored) != 1+len(key) || stored[0] != l.id || string(stored[1:]) != key {
 		// Sampled-hash collision: treat as a miss, keep the entry.
 		st.misses.Add(1)
 		return nil, false
@@ -600,8 +664,9 @@ func (e *Entry) Close() {
 // CRC and key bytes in fixed-size chunks before returning, so no
 // corrupt byte can reach a streaming consumer. It returns false on
 // miss, collision, or corruption.
-func (st *Store) OpenVerified(key string) (*Entry, bool) {
-	h := hashString(key)
+func (l Layer) OpenVerified(key string) (*Entry, bool) {
+	st := l.st
+	h := hashKey(l.id, key)
 	st.mu.Lock()
 	loc, ok := st.index[h]
 	if !ok || st.closed {
@@ -613,7 +678,7 @@ func (st *Store) OpenVerified(key string) (*Entry, bool) {
 	seg.refs++
 	st.mu.Unlock()
 	ent := &Entry{st: st, seg: seg, loc: loc}
-	ok, corrupt := verifyEntryChunked(seg.f, loc, key)
+	ok, corrupt := verifyEntryChunked(seg.f, loc, l.id, key)
 	if !ok {
 		ent.Close()
 		if corrupt {
@@ -627,9 +692,9 @@ func (st *Store) OpenVerified(key string) (*Entry, bool) {
 }
 
 // verifyEntryChunked re-derives the record CRC with a bounded buffer and
-// compares the stored key against key. corrupt reports whether the
+// compares the stored key against id ++ key. corrupt reports whether the
 // failure was CRC/framing (as opposed to a benign hash collision).
-func verifyEntryChunked(f *os.File, loc entryLoc, key string) (ok, corrupt bool) {
+func verifyEntryChunked(f *os.File, loc entryLoc, id byte, key string) (ok, corrupt bool) {
 	var hdr [recordHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], loc.off); err != nil {
 		return false, true
@@ -641,7 +706,7 @@ func verifyEntryChunked(f *os.File, loc entryLoc, key string) (ok, corrupt bool)
 	const chunk = 64 << 10
 	buf := make([]byte, chunk)
 	var crc uint32
-	keyMatches := uint32(len(key)) == loc.keyLen
+	keyMatches := int64(loc.keyLen) == 1+int64(len(key))
 	total := int64(loc.keyLen) + int64(loc.bodyLen)
 	for done := int64(0); done < total; {
 		n := total - done
@@ -653,11 +718,14 @@ func verifyEntryChunked(f *os.File, loc entryLoc, key string) (ok, corrupt bool)
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
 		if keyMatches && done < int64(loc.keyLen) {
-			kn := int64(loc.keyLen) - done
-			if kn > n {
-				kn = n
+			// Stored key byte i is the id for i = 0, else key[i-1].
+			stored := buf[:min(int64(loc.keyLen)-done, n)]
+			from := done
+			if from == 0 {
+				keyMatches = stored[0] == id
+				stored, from = stored[1:], 1
 			}
-			if string(buf[:kn]) != key[done:done+kn] {
+			if keyMatches && string(stored) != key[from-1:from-1+int64(len(stored))] {
 				keyMatches = false
 			}
 		}
@@ -688,8 +756,9 @@ type Appender struct {
 
 // Begin starts a streamed append for key. Returns nil if the store is
 // closed, the key is invalid, or the segment file cannot be created.
-func (st *Store) Begin(key string) *Appender {
-	if len(key) == 0 || int64(len(key)) > maxFieldLen {
+func (l Layer) Begin(key string) *Appender {
+	st := l.st
+	if 1+int64(len(key)) > maxFieldLen {
 		return nil
 	}
 	st.mu.Lock()
@@ -705,19 +774,18 @@ func (st *Store) Begin(key string) *Appender {
 	if err != nil {
 		return nil
 	}
-	ap := &Appender{st: st, f: f, path: path, seq: seq, h: hashString(key), keyLen: uint32(len(key))}
+	ap := &Appender{st: st, f: f, path: path, seq: seq, h: hashKey(l.id, key), keyLen: uint32(1 + len(key))}
 	// Placeholder header; CRC and bodyLen are patched at Commit. A
 	// crash before Commit leaves an invalid record that recovery
 	// truncates away.
-	var hdr [recordHeaderSize]byte
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+	head := make([]byte, recordHeaderSize+1+len(key))
+	head[recordHeaderSize] = l.id
+	copy(head[recordHeaderSize+1:], key)
+	if _, err := f.WriteAt(head, 0); err != nil {
 		ap.err = err
 	}
-	if _, err := f.WriteAt([]byte(key), recordHeaderSize); err != nil {
-		ap.err = err
-	}
-	ap.size = recordHeaderSize + int64(len(key))
-	ap.crc = crc32.ChecksumIEEE([]byte(key))
+	ap.size = int64(len(head))
+	ap.crc = crc32.ChecksumIEEE(head[recordHeaderSize:])
 	return ap
 }
 
@@ -921,9 +989,8 @@ func (st *Store) compactOnce() int64 {
 			st.markDeadLocked(loc)
 			continue
 		}
-		key := string(buf[recordHeaderSize : recordHeaderSize+int(loc.keyLen)])
-		body := buf[recordHeaderSize+int(loc.keyLen):]
-		rewritten += st.putLocked(h, key, body)
+		head := recordHeaderSize + int(loc.keyLen)
+		rewritten += st.appendLocked(h, buf[:head], buf[head:])
 	}
 	st.retireLocked(victim.seq)
 	st.compactions.Add(1)
@@ -991,27 +1058,32 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// hashString mirrors the serving tier's sampled FNV-1a: full hash for
-// short keys, head/tail plus strided middle samples for long ones.
-// Collisions are safe — reads compare the stored key byte for byte.
+// hashKey hashes the stored key id ++ key without building it. It
+// mirrors the serving tier's sampled FNV-1a: a full hash for stored keys
+// up to hashSampleLimit bytes, head/tail plus strided middle samples for
+// longer ones. Recovery hashes a record's stored key bytes as
+// hashKey(stored[0], stored[1:]), so a key hashes the same whether it was
+// written, read or recovered. Collisions are safe — reads compare the
+// stored key byte for byte.
 const (
 	fnvOffset64     = 14695981039346656037
 	fnvPrime64      = 1099511628211
 	hashSampleLimit = 1024
 )
 
-func hashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	n := len(s)
+func hashKey[K string | []byte](id byte, key K) uint64 {
+	h := (uint64(fnvOffset64) ^ uint64(id)) * fnvPrime64
+	// n counts the stored key; its byte i (i ≥ 1) is key[i-1].
+	n := 1 + len(key)
 	if n <= hashSampleLimit {
-		for i := 0; i < n; i++ {
-			h ^= uint64(s[i])
+		for i := 0; i < len(key); i++ {
+			h ^= uint64(key[i])
 			h *= fnvPrime64
 		}
 		return h
 	}
-	for i := 0; i < 256; i++ {
-		h ^= uint64(s[i])
+	for i := 1; i < 256; i++ {
+		h ^= uint64(key[i-1])
 		h *= fnvPrime64
 	}
 	stride := (n - 512) / 512
@@ -1019,42 +1091,11 @@ func hashString(s string) uint64 {
 		stride = 1
 	}
 	for i := 256; i < n-256; i += stride {
-		h ^= uint64(s[i])
+		h ^= uint64(key[i-1])
 		h *= fnvPrime64
 	}
 	for i := n - 256; i < n; i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	h ^= uint64(n)
-	h *= fnvPrime64
-	return h
-}
-
-func hashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	n := len(b)
-	if n <= hashSampleLimit {
-		for i := 0; i < n; i++ {
-			h ^= uint64(b[i])
-			h *= fnvPrime64
-		}
-		return h
-	}
-	for i := 0; i < 256; i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	stride := (n - 512) / 512
-	if stride < 1 {
-		stride = 1
-	}
-	for i := 256; i < n-256; i += stride {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	for i := n - 256; i < n; i++ {
-		h ^= uint64(b[i])
+		h ^= uint64(key[i-1])
 		h *= fnvPrime64
 	}
 	h ^= uint64(n)

@@ -504,3 +504,141 @@ func TestCompactionThrottledByRate(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// hashStringReference is the store-key hash as it was computed over a
+// concatenated layer ++ key string. hashKey must reproduce it exactly:
+// existing segments index their records by it.
+func hashStringReference(s string) uint64 {
+	h := uint64(fnvOffset64)
+	n := len(s)
+	if n <= hashSampleLimit {
+		for i := 0; i < n; i++ {
+			h ^= uint64(s[i])
+			h *= fnvPrime64
+		}
+		return h
+	}
+	for i := 0; i < 256; i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	stride := (n - 512) / 512
+	if stride < 1 {
+		stride = 1
+	}
+	for i := 256; i < n-256; i += stride {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	for i := n - 256; i < n; i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	h ^= uint64(n)
+	h *= fnvPrime64
+	return h
+}
+
+// TestHashKeyMatchesConcatenatedHash pins hash(layer, key) ==
+// hashString(string(layer)+key) on both sides of the sampling cutoff, for
+// string and byte keys, plus golden values of the concatenated hash so the
+// on-disk index stays compatible with segments written before the split.
+func TestHashKeyMatchesConcatenatedHash(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 255, 256, 511, 512, 1021, 1022, 1023, 1024, 1025, 1026, 1535, 1536, 4096, 100_003} {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteByte(byte('0' + (i*7+n)%43))
+		}
+		key := b.String()
+		for _, layer := range []byte{'c', 'r', 'b'} {
+			want := hashStringReference(string(layer) + key)
+			if got := hashKey(layer, key); got != want {
+				t.Fatalf("hashKey(%q, len %d) = %#x, want %#x", layer, n, got, want)
+			}
+			if got := hashKey(layer, []byte(key)); got != want {
+				t.Fatalf("hashKey(%q, []byte len %d) = %#x, want %#x", layer, n, got, want)
+			}
+		}
+	}
+	golden := []struct {
+		key  string
+		want uint64
+	}{
+		{"c", 0xaf63de4c8601eff2},
+		{"cabc", 0xb52b6b90e84de736},
+		{"r" + strings.Repeat("x", 1023), 0x902b4a9ce6a0932f},
+		{"r" + strings.Repeat("x", 1024), 0xc40789e27904f03c},
+		{"c" + strings.Repeat("0x1p-01,", 200), 0x8f447a37817e2129},
+		{"r" + strings.Repeat("0.25,", 2000) + "1", 0x22cfc643c68094},
+		{"b" + strings.Repeat("q", 100000), 0x103108c09e55dfcc},
+	}
+	for _, g := range golden {
+		if got := hashStringReference(g.key); got != g.want {
+			t.Fatalf("reference hash of len %d = %#x, want %#x", len(g.key), got, g.want)
+		}
+		if got := hashKey(g.key[0], g.key[1:]); got != g.want {
+			t.Fatalf("hashKey of len %d = %#x, want %#x", len(g.key), got, g.want)
+		}
+	}
+}
+
+// TestLayerKeysRecoverFromConcatenatedRecords writes records framed by
+// hand with a concatenated layer ++ key (the on-disk format), reopens the
+// store over them, and requires every layered read to hit; a layered
+// write then recovers and reads back through the whole-key methods.
+func TestLayerKeysRecoverFromConcatenatedRecords(t *testing.T) {
+	dir := t.TempDir()
+	keys := map[byte]string{
+		'c': "0x1p+00|0x1p-01",
+		'r': "profile=" + strings.Repeat("0.5,", 400) + "1",
+		'b': strings.Repeat("{}", 70000), // past one 64 KiB verify chunk
+	}
+	var seg []byte
+	for layer, key := range keys {
+		stored, body := string(layer)+key, "body-of-"+string(layer)
+		var hdr [recordHeaderSize]byte
+		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(stored)))
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(body)))
+		crc := crc32.ChecksumIEEE([]byte(stored + body))
+		crc = crc32.Update(crc, crc32.IEEETable, hdr[4:12])
+		binary.LittleEndian.PutUint32(hdr[0:4], crc)
+		seg = append(append(append(seg, hdr[:]...), stored...), body...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for layer, key := range keys {
+		want := "body-of-" + string(layer)
+		if got, ok := st.Layer(layer).Get(key); !ok || string(got) != want {
+			t.Fatalf("layer %q Get: %q ok=%v", layer, got, ok)
+		}
+		ent, ok := st.Layer(layer).OpenVerified(key)
+		if !ok || ent.BodyLen() != int64(len(want)) {
+			t.Fatalf("layer %q OpenVerified: ok=%v", layer, ok)
+		}
+		ent.Close()
+		// The same key under another layer is a different record.
+		if _, ok := st.Layer(layer + 1).Get(key); ok {
+			t.Fatalf("layer %q key hit under layer %q", layer, layer+1)
+		}
+	}
+	if !st.Layer('r').Put("fresh", []byte("written")) {
+		t.Fatal("layered Put failed")
+	}
+	ap := st.Layer('b').Begin("streamed")
+	ap.Write([]byte("appended"))
+	if !ap.Commit() {
+		t.Fatal("layered append failed")
+	}
+	st.Close()
+	st = openTest(t, Config{Dir: dir})
+	for key, want := range map[string]string{"rfresh": "written", "bstreamed": "appended"} {
+		if got, ok := st.Get(key); !ok || string(got) != want {
+			t.Fatalf("whole-key Get(%q) after reopen: %q ok=%v", key, got, ok)
+		}
+	}
+}
