@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench chaos vet lint check fmt cover replicate artifacts clean FORCE
+.PHONY: all build test bench chaos fuzz vet lint check fmt cover replicate artifacts clean FORCE
 
 all: build vet test
 
@@ -106,6 +106,18 @@ chaos:
 	$(GO) run ./cmd/hetero churn -n 6 -L 1200 -seeds 5
 	$(GO) run ./cmd/benchserve -fleet-chaos > /dev/null
 	$(GO) run ./cmd/benchserve -spill-chaos > /dev/null
+
+# Runs every Fuzz* target in the module for FUZZTIME each, one at a time
+# (go test -fuzz takes one target per run), on at most two fuzz workers.
+# Seeds alone run under `make test`; this searches past them.
+FUZZTIME ?= 10s
+fuzz:
+	@for file in $$(grep -rlE '^func Fuzz' --include='*_test.go' cmd internal); do \
+		for target in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$file); do \
+			echo "fuzz $$target ./$$(dirname $$file)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -parallel 2 ./$$(dirname $$file) || exit 1; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...

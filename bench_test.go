@@ -11,7 +11,10 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -765,6 +768,66 @@ func BenchmarkReadPostBody(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		post()
 	}
+}
+
+// BenchmarkBatchFresh times the stages of one fresh POST /v1/batch body of
+// 2^20 ρ: eight profiles of 2^17 three-decimal ρ-values (9 MB), on a server
+// with a 192-entry, 16 MiB cache, where no fragment fits a cache shard and
+// so every request evaluates. "decode" parses and validates the body,
+// "echo" renders the eight profile echoes, and "stream" runs the whole
+// streamed response (decode, evaluation, render) into io.Discard. Each
+// reports ns/rho; times 2^20 it is the per-body cost of that stage.
+func BenchmarkBatchFresh(b *testing.B) {
+	const units, k = 1 << 20, 8
+	rng := stats.NewRNG(17)
+	body := []byte(`{"profiles":[`)
+	for p := 0; p < k; p++ {
+		if p > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '[')
+		for j := 0; j < units/k; j++ {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, float64(1+rng.Intn(1000))/1000, 'f', -1, 64)
+		}
+		body = append(body, ']')
+	}
+	body = append(body, "]}"...)
+	s := api.NewServerWithCache(api.CacheConfig{Entries: 192, MaxBytes: 16 << 20, Coalesce: true})
+	profiles, status, msg := s.DecodeBatch(body)
+	if status != 0 {
+		b.Fatalf("decode: %d %s", status, msg)
+	}
+	perRho := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/rho")
+	}
+	b.Run("decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, status, msg := s.DecodeBatch(body); status != 0 {
+				b.Fatalf("decode: %d %s", status, msg)
+			}
+		}
+		perRho(b)
+	})
+	b.Run("echo", func(b *testing.B) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			for _, p := range profiles {
+				buf = api.AppendProfileEcho(buf[:0], p)
+			}
+		}
+		perRho(b)
+	})
+	b.Run("stream", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if status, msg, err := s.BatchBodyStream(context.Background(), io.Discard, body); status != 200 || err != nil {
+				b.Fatalf("stream: %d %s %v", status, msg, err)
+			}
+		}
+		perRho(b)
+	})
 }
 
 // BenchmarkDecompose measures the eq. (3) proof-identity evaluation.

@@ -1,11 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
+	"sync/atomic"
 
 	"hetero/internal/incr"
 	"hetero/internal/model"
@@ -34,6 +37,13 @@ import (
 // (appendMeasureResponse bytes, the same bodies the measure cache stores),
 // byte-identical to json.Encoder on BatchResponse — the golden equivalence
 // tests pin both identities.
+//
+// A body is decoded by recognizeBatch when it has the envelope clients send
+// — {"profiles":[[ρ,...],...]} with at most one "params" object — in one
+// scan that checks every token's JSON number grammar, parsing large profiles
+// in chunks on the pool. Every other body, and every body it doubts, goes to
+// decodeBatchReference (json.Unmarshal syntax-checks it first), the decoder
+// of record: all error statuses and messages are its own.
 
 // DefaultMaxBody caps every POST request body when the Server does not
 // override it: 16 MiB, sized so a full MaxBatchProfiles batch of moderate
@@ -170,45 +180,68 @@ func batchCountFromBody(b []byte) (int, bool) {
 // shared by the buffered and streaming paths, so validation happens exactly
 // once per request, before any cache admission or byte is written.
 //
-// The profiles array is decoded by profilesField's hand parser over the
-// value's bytes in place, with one reusable ρ scratch buffer, so decode-side
-// peak memory is the validated profiles plus O(largest single profile) —
-// json.Unmarshal into [][]float64 would hold a second full copy (plus
-// append-growth garbage) live at once, which on a MaxBatchProfiles batch
-// dwarfs everything the streaming render path saves. Oversized batches are
-// rejected as soon as the count crosses MaxBatchProfiles, before the
-// remaining profiles are decoded at all.
+// recognizeBatch decodes the common envelope; anything it doubts is decoded
+// again by decodeBatchReference, so both decoders accept the same bodies
+// with the same profiles and every rejection is the reference's. Neither
+// holds a second copy of the profiles: the recognizer parses into the
+// exact-size profiles, the reference through one profile of scratch.
 func (s *Server) decodeBatchRequest(body []byte) (m model.Params, profiles []profile.Profile, status int, msg string) {
 	m = s.Defaults
+	params, profiles, ok := recognizeBatch(body)
+	if !ok {
+		if params, profiles, status, msg = decodeBatchReference(body); status != 0 {
+			return m, nil, status, msg
+		}
+	}
+	if params != nil {
+		m = *params
+	}
+	if err := m.Validate(); err != nil {
+		return m, nil, 400, err.Error()
+	}
+	return m, profiles, 0, ""
+}
+
+// decodeBatchReference is the decoder of record for a batch body:
+// json.Unmarshal syntax-checks the whole body, then profilesField parses
+// the profiles array in place. json.Unmarshal into [][]float64 would hold a
+// second full copy of every ρ (plus append-growth garbage) live at once.
+// Oversized batches are rejected as soon as the count crosses
+// MaxBatchProfiles, before the remaining profiles are decoded at all.
+func decodeBatchReference(body []byte) (params *model.Params, profiles []profile.Profile, status int, msg string) {
 	var req struct {
 		Profiles profilesField `json:"profiles"`
 		Params   *model.Params `json:"params"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		if req.Profiles.status != 0 {
-			return m, nil, req.Profiles.status, req.Profiles.msg
+			return nil, nil, req.Profiles.status, req.Profiles.msg
 		}
-		return m, nil, 400, "invalid JSON: " + err.Error()
+		return nil, nil, 400, "invalid JSON: " + err.Error()
 	}
 	if len(req.Profiles.profiles) == 0 {
-		return m, nil, 400, "profiles must be non-empty"
+		return nil, nil, 400, "profiles must be non-empty"
 	}
-	if req.Params != nil {
-		m = *req.Params
-	}
-	if err := m.Validate(); err != nil {
-		return m, nil, 400, err.Error()
-	}
-	return m, req.Profiles.profiles, 0, ""
+	return req.Params, req.Profiles.profiles, 0, ""
 }
 
-// profilesField decodes the "profiles" key of a batch request. Its
-// UnmarshalJSON receives the array's bytes as a subslice of the request body
-// (encoding/json does not copy the value for a custom unmarshaler) and
-// parses them directly — faster than reflection-driven [][]float64 decoding
-// and without its full second copy of every ρ. A rejection is carried in
-// status/msg (413 over-limit, 400 shape/validation) alongside the returned
-// error, so decodeBatchRequest can answer with the precise status.
+// DecodeBatch runs the POST /v1/batch decode and validation alone and
+// returns the decoded profiles, or the rejection's status and message. It
+// exists so benchmarks can time the decode stage apart from evaluation and
+// render.
+func (s *Server) DecodeBatch(body []byte) (profiles []profile.Profile, status int, msg string) {
+	_, profiles, status, msg = s.decodeBatchRequest(body)
+	return profiles, status, msg
+}
+
+// profilesField decodes the "profiles" key of a batch request for
+// decodeBatchReference. Its UnmarshalJSON receives the array's bytes as a
+// subslice of the request body (encoding/json does not copy the value for a
+// custom unmarshaler) and parses them directly — faster than
+// reflection-driven [][]float64 decoding and without its full second copy
+// of every ρ. A rejection is carried in status/msg (413 over-limit, 400
+// shape/validation) alongside the returned error, so decodeBatchReference
+// can answer with the precise status.
 type profilesField struct {
 	profiles []profile.Profile
 	status   int
@@ -224,10 +257,11 @@ func (pf *profilesField) fail(status int, msg string) error {
 	return errBatchReject
 }
 
-// UnmarshalJSON parses `[[ρ,...],...]` in place. json.Unmarshal has already
-// syntax-checked the whole body (checkValid runs before any decoding), so
-// data is well-formed JSON and the parser only decides shape: every element
-// must be an array of numbers that profile.New accepts.
+// UnmarshalJSON parses `[[ρ,...],...]` in place. It runs only under
+// decodeBatchReference's json.Unmarshal, which syntax-checks the whole body
+// before any decoding (checkValid), so data is well-formed JSON and the
+// parser only decides shape: every element must be an array of numbers
+// that profile.New accepts.
 func (pf *profilesField) UnmarshalJSON(data []byte) error {
 	pf.profiles = nil // duplicate "profiles" keys restart, like encoding/json
 	i := skipJSONSpace(data, 0)
@@ -291,6 +325,300 @@ func skipJSONSpace(data []byte, i int) int {
 		i++
 	}
 	return i
+}
+
+// decodeChunkMinBytes is the inner-array length, in bytes, from which
+// recognizeBatch splits a profile's ρ tokens into chunks parsed on the
+// pool. Shorter arrays parse inline: a fork-join would cost more than it
+// spreads.
+const decodeChunkMinBytes = 128 << 10
+
+// decodeChunkBytes is the target length of one such chunk; each ends at a
+// comma, so it holds whole tokens.
+const decodeChunkBytes = 64 << 10
+
+// rhoChunk is a run of comma-separated ρ tokens and the exact-size slot of
+// its profile that they parse into.
+type rhoChunk struct {
+	src []byte
+	dst []float64
+}
+
+// recognizeBatch decodes a batch body of the envelope clients send,
+// {"profiles":[[ρ,...],...]} with at most one "params" object before or
+// after the profiles, in one scan. ok = false means doubt, not rejection:
+// any other key or spelling of one, a duplicate key, a token outside the
+// JSON number grammar, a ρ outside (0, 1], an empty array, more than
+// MaxBatchProfiles profiles, or params that json.Unmarshal refuses. The
+// caller then decodes the body with decodeBatchReference, so everything
+// recognizeBatch accepts decodes there to the same profiles and params.
+//
+// Each inner array's ρ count is its commas plus one, so a profile is
+// allocated at its exact size before it is parsed. An array of at least
+// decodeChunkMinBytes splits at commas into chunks; each chunk's comma
+// count places its slot in the one profile, and the chunks of every such
+// array parse concurrently on the pool once the envelope has checked out.
+func recognizeBatch(body []byte) (params *model.Params, profiles []profile.Profile, ok bool) {
+	var (
+		chunks    []rhoChunk
+		paramsVal []byte
+		sawProf   bool
+	)
+	i := skipJSONSpace(body, 0)
+	if i >= len(body) || body[i] != '{' {
+		return nil, nil, false
+	}
+	for {
+		i = skipJSONSpace(body, i+1)
+		rest := body[i:]
+		isProf := !sawProf && bytes.HasPrefix(rest, []byte(`"profiles"`))
+		switch {
+		case isProf:
+			i += len(`"profiles"`)
+		case paramsVal == nil && bytes.HasPrefix(rest, []byte(`"params"`)):
+			i += len(`"params"`)
+		default:
+			return nil, nil, false
+		}
+		i = skipJSONSpace(body, i)
+		if i >= len(body) || body[i] != ':' {
+			return nil, nil, false
+		}
+		i = skipJSONSpace(body, i+1)
+		if isProf {
+			sawProf = true
+			if i, profiles, chunks, ok = recognizeProfiles(body, i); !ok {
+				return nil, nil, false
+			}
+		} else {
+			end, ok := objectEnd(body, i)
+			if !ok {
+				return nil, nil, false
+			}
+			paramsVal, i = body[i:end], end
+		}
+		i = skipJSONSpace(body, i)
+		if i < len(body) && body[i] == ',' {
+			continue
+		}
+		if i >= len(body) || body[i] != '}' {
+			return nil, nil, false
+		}
+		break
+	}
+	if !sawProf || skipJSONSpace(body, i+1) != len(body) {
+		return nil, nil, false
+	}
+	var bad atomic.Bool
+	parallel.ForEach(0, len(chunks), func(j int) {
+		if !bad.Load() && !parseRhos(chunks[j].src, chunks[j].dst) {
+			bad.Store(true)
+		}
+	})
+	if bad.Load() {
+		return nil, nil, false
+	}
+	if paramsVal != nil {
+		params = new(model.Params)
+		if json.Unmarshal(paramsVal, params) != nil {
+			return nil, nil, false
+		}
+	}
+	return params, profiles, true
+}
+
+// recognizeProfiles scans the non-empty `[[ρ,...],...]` value at body[i:]
+// and returns the index past it. Short profiles are parsed here; long ones
+// are allocated and returned as chunks for the caller to parse.
+func recognizeProfiles(body []byte, i int) (next int, profiles []profile.Profile, chunks []rhoChunk, ok bool) {
+	if i >= len(body) || body[i] != '[' {
+		return 0, nil, nil, false
+	}
+	i = skipJSONSpace(body, i+1)
+	for {
+		if len(profiles) == MaxBatchProfiles || i >= len(body) || body[i] != '[' {
+			return 0, nil, nil, false
+		}
+		end := bytes.IndexByte(body[i+1:], ']')
+		if end < 0 {
+			return 0, nil, nil, false
+		}
+		arr := body[i+1 : i+1+end]
+		var p profile.Profile
+		if len(arr) < decodeChunkMinBytes {
+			p = make(profile.Profile, bytes.Count(arr, commaByte)+1)
+			if !parseRhos(arr, p) {
+				return 0, nil, nil, false
+			}
+		} else {
+			p, chunks = splitRhoChunks(arr, chunks)
+		}
+		profiles = append(profiles, p)
+		i = skipJSONSpace(body, i+2+end)
+		if i < len(body) && body[i] == ',' {
+			i = skipJSONSpace(body, i+1)
+			continue
+		}
+		if i >= len(body) || body[i] != ']' {
+			return 0, nil, nil, false
+		}
+		return i + 1, profiles, chunks, true
+	}
+}
+
+// splitRhoChunks cuts arr at the first comma past every decodeChunkBytes,
+// allocates the profile at the pieces' total token count, and appends one
+// rhoChunk per piece, in order, to chunks.
+func splitRhoChunks(arr []byte, chunks []rhoChunk) (profile.Profile, []rhoChunk) {
+	var counts []int
+	for start, cut := 0, 0; cut < len(arr); start = cut + 1 {
+		cut = len(arr)
+		if start+decodeChunkBytes < len(arr) {
+			if c := bytes.IndexByte(arr[start+decodeChunkBytes:], ','); c >= 0 {
+				cut = start + decodeChunkBytes + c
+			}
+		}
+		chunks = append(chunks, rhoChunk{src: arr[start:cut]})
+		counts = append(counts, bytes.Count(arr[start:cut], commaByte)+1)
+	}
+	n := 0
+	for _, k := range counts {
+		n += k
+	}
+	p := make(profile.Profile, n)
+	lo := 0
+	for j, k := range counts {
+		chunks[len(chunks)-len(counts)+j].dst = p[lo : lo+k]
+		lo += k
+	}
+	return p, chunks
+}
+
+// objectEnd returns the index just past the JSON object that starts at
+// body[i], matching braces and brackets outside strings. It finds the
+// extent only: json.Unmarshal checks the object's syntax.
+func objectEnd(body []byte, i int) (int, bool) {
+	if i >= len(body) || body[i] != '{' {
+		return 0, false
+	}
+	depth := 0
+	for ; i < len(body); i++ {
+		switch body[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1, true
+			}
+		case '"':
+			for i++; i < len(body) && body[i] != '"'; i++ {
+				if body[i] == '\\' {
+					i++
+				}
+			}
+		}
+	}
+	return 0, false
+}
+
+// parseRhos parses the comma-separated ρ tokens of src, JSON whitespace
+// allowed around each, into dst, which has one slot per comma plus one. It
+// reports false on a token outside the JSON number grammar or a value that
+// profile.New refuses (anything outside (0, 1]).
+func parseRhos(src []byte, dst []float64) bool {
+	i := 0
+	for k := range dst {
+		i = skipJSONSpace(src, i)
+		f, n, ok := parseJSONNumber(src[i:])
+		if !ok || !(f > 0 && f <= 1) {
+			return false
+		}
+		dst[k] = f
+		i = skipJSONSpace(src, i+n)
+		if k < len(dst)-1 {
+			if i >= len(src) || src[i] != ',' {
+				return false
+			}
+			i++
+		}
+	}
+	return i == len(src)
+}
+
+// exactPow10 holds the powers of ten that float64 represents exactly.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseJSONNumber parses the JSON number (RFC 8259 grammar) at the start
+// of b and returns its value and length in bytes. ok is false when b does
+// not start with one, or when strconv.ParseFloat refuses it (out of range).
+//
+// A number whose digits form an integer m < 2^53 and whose decimal point
+// and exponent scale it by 10^-k, 0 ≤ k ≤ 22, is m / 10^k: both operands
+// are exact, so the one IEEE division is the correctly rounded value that
+// ParseFloat returns too (its own exact fast path). Every other number
+// goes to ParseFloat.
+func parseJSONNumber(b []byte) (f float64, n int, ok bool) {
+	i := 0
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	digits, scale := 0, 0
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' < 9:
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			digits++
+		}
+	default:
+		return 0, 0, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		start := i
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			mant = mant*10 + uint64(b[i]-'0')
+			digits++
+		}
+		if i == start {
+			return 0, 0, false
+		}
+		scale = i - start
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		expNeg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		start, exp := i, 0
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if exp < 1<<20 {
+				exp = exp*10 + int(b[i]-'0')
+			}
+		}
+		if i == start {
+			return 0, 0, false
+		}
+		if expNeg {
+			scale += exp
+		} else {
+			scale -= exp
+		}
+	}
+	if digits <= 19 && mant < 1<<53 && scale >= 0 && scale < len(exactPow10) {
+		f = float64(mant) / exactPow10[scale]
+		if neg {
+			f = -f
+		}
+		return f, i, true
+	}
+	f, err := strconv.ParseFloat(string(b[:i]), 64)
+	return f, i, err == nil
 }
 
 // renderBatchBuffered dedupes, evaluates and assembles one decoded batch
@@ -387,13 +715,61 @@ func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq [
 }
 
 // fragmentKey returns the canonical key of a batch fragment, or nil when
-// the fragment bypasses the canonical cache: the cache is off, or p is
-// smaller than batchCacheMinProfile.
+// the fragment bypasses the canonical cache: the cache is off, p is smaller
+// than batchCacheMinProfile, or the entry could not fit the largest shard's
+// byte budget, which would reject it after the key build and the render.
+// The fit test is a lower bound on the entry's cost, computed without
+// formatting: the exact key length plus 2 bytes per ρ of body (a digit and
+// a separator).
 func (s *Server) fragmentKey(m model.Params, p profile.Profile) []byte {
 	if s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
 		return nil
 	}
+	if budget := s.cache.maxEntryCost(); budget > 0 {
+		cost := int64(hexFloatLen(m.Tau)+hexFloatLen(m.Pi)+hexFloatLen(m.Delta)+2) + 2*int64(len(p))
+		for _, rho := range p {
+			if cost += int64(1 + hexFloatLen(rho)); cost > budget {
+				return nil
+			}
+		}
+	}
 	return appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p)
+}
+
+// hexFloatLen is len(strconv.AppendFloat(nil, f, 'x', -1, 64)), the
+// canonical key's spelling of f, read off the bits: a sign, "0x", the
+// leading digit, a '.' and the fraction's significant nibbles if any, 'p',
+// the exponent's sign and its digits, at least two. A subnormal is
+// normalized first, as the formatter does.
+func hexFloatLen(f float64) int {
+	b := math.Float64bits(f)
+	exp := int(b>>52) & 0x7ff
+	frac := b & (1<<52 - 1)
+	switch {
+	case exp == 0x7ff && frac != 0:
+		return len("NaN")
+	case exp == 0x7ff:
+		return len("+Inf")
+	case exp == 0 && frac == 0:
+		return int(b>>63) + len("0x0p+00")
+	case exp == 0:
+		shift := bits.LeadingZeros64(frac) - 11
+		frac = frac << shift & (1<<52 - 1)
+		exp = 1 - shift
+	}
+	n := int(b>>63) + len("0x1p+")
+	if frac != 0 {
+		n += 1 + 13 - bits.TrailingZeros64(frac)/4
+	}
+	switch e := exp - 1023; {
+	case e >= 1000 || e <= -1000:
+		n += 4
+	case e >= 100 || e <= -100:
+		n += 3
+	default:
+		n += 2
+	}
+	return n
 }
 
 // cachedFragment reads a batch fragment through the canonical measure

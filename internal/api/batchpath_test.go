@@ -2,7 +2,9 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -361,5 +363,294 @@ func TestCachedFragmentHitAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("cached-fragment hit: %v allocs/op, want at most 1 (the key buffer)", allocs)
+	}
+}
+
+// decodeParity checks one body against the decoder of record: when
+// recognizeBatch accepts it, decodeBatchReference must accept it too with
+// bit-identical profiles and equal params; either way decodeBatchRequest's
+// status and message must be the reference's. It reports whether the
+// recognizer accepted the body.
+func decodeParity(t testing.TB, s *Server, body []byte) bool {
+	t.Helper()
+	params, profiles, ok := recognizeBatch(body)
+	refParams, refProfiles, wantStatus, wantMsg := decodeBatchReference(body)
+	if ok {
+		if wantStatus != 0 {
+			t.Fatalf("recognizer accepted a body the reference rejects (%d %s): %.200q", wantStatus, wantMsg, body)
+		}
+		if (params == nil) != (refParams == nil) || params != nil && *params != *refParams {
+			t.Fatalf("params %+v, reference %+v: %.200q", params, refParams, body)
+		}
+		if len(profiles) != len(refProfiles) {
+			t.Fatalf("%d profiles, reference %d: %.200q", len(profiles), len(refProfiles), body)
+		}
+		for i := range profiles {
+			if len(profiles[i]) != len(refProfiles[i]) {
+				t.Fatalf("profiles[%d] has %d ρ, reference %d", i, len(profiles[i]), len(refProfiles[i]))
+			}
+			for j := range profiles[i] {
+				if math.Float64bits(profiles[i][j]) != math.Float64bits(refProfiles[i][j]) {
+					t.Fatalf("profiles[%d][%d] = %v, reference %v", i, j, profiles[i][j], refProfiles[i][j])
+				}
+			}
+		}
+	}
+	if wantStatus == 0 {
+		m := s.Defaults
+		if refParams != nil {
+			m = *refParams
+		}
+		if err := m.Validate(); err != nil {
+			wantStatus, wantMsg = 400, err.Error()
+		}
+	}
+	_, _, status, msg := s.decodeBatchRequest(body)
+	if status != wantStatus || msg != wantMsg {
+		t.Fatalf("decode gives %d %q, reference %d %q: %.200q", status, msg, wantStatus, wantMsg, body)
+	}
+	return ok
+}
+
+// TestRecognizeBatch pins which bodies the one-pass recognizer decodes
+// itself — the envelope clients send, in any JSON spelling — and which it
+// leaves to the reference decoder, and checks parity on all of them.
+func TestRecognizeBatch(t *testing.T) {
+	s := NewServer()
+	accepted := []string{
+		`{"profiles":[[1,0.5],[0.25]]}`,
+		" \t{ \"profiles\" :\n[ [ 1e0 , 5E-1 ] ,\r\n [0.25, 2.5e-1, 5e-1 ] ] }\n",
+		`{"profiles":[[1.0,0.50,0.250,1E+0,100e-2,0.0000001,1e-7,4.9e-324]]}`,
+		`{"profiles":[[0.12345678901234567890123,0.99999999999999999999,1.00000000000000000001]]}`,
+		`{"params":{"tau":0.01,"pi":1e-5,"delta":1},"profiles":[[1,0.5]]}`,
+		`{"profiles":[[1,0.5]],"params":{"tau":0.01,"pi":1e-5,"delta":1}}`,
+		`{"profiles":[[1]],"params":{"tau":0.01,"pi":1e-5,"delta":1,"a":[1,"]}"],"b":{"c":"\"}"}}}`,
+		`{"profiles":[[1]],"params":{"tau":1,"pi":1,"delta":7}}`, // recognized; Validate rejects
+		string(marshalBatch(t, [][]float64{randomRhos(300, 3), randomRhos(7, 4)})),
+	}
+	for _, b := range accepted {
+		if !decodeParity(t, s, []byte(b)) {
+			t.Errorf("recognizer left a client envelope to the reference: %.120q", b)
+		}
+	}
+	doubted := []string{
+		`{"Profiles":[[1]]}`,
+		`{"profiles":[[1]],"profiles":[[0.5]]}`,
+		`{"profiles":[[1]],"params":{"tau":1,"pi":1,"delta":1},"params":null}`,
+		`{"profiles":[[1]],"params":null}`,
+		`{"profiles":[[1]],"params":{"tau":"x","pi":1,"delta":1}}`,
+		`{"profiles":[[1]],"params":{"tau":1}}`,
+		`{"profiles":[[1]],"params":{"tau":1,"pi":1,"delta":1]}`,
+		`{"profiles":[[1]],"extra":1}`,
+		`{"profil\u0065s":[[1]]}`,
+		`{"profiles":null}`,
+		`{"profiles":[]}`,
+		`{"profiles":[[]]}`,
+		`{"profiles":[[1],]}`,
+		`{"profiles":[[1,]]}`,
+		`{"profiles":[[,1]]}`,
+		`{"profiles":[[1 2]]}`,
+		`{"profiles":[[[1]]]}`,
+		`{"profiles":[[1,[0.5]]]}`,
+		`{"profiles":[["1"]]}`,
+		`{"profiles":[[1,"]"]]}`,
+		`{"profiles":[[1,","]]}`,
+		`{"profiles":[[-0]]}`,
+		`{"profiles":[[0]]}`,
+		`{"profiles":[[1.5]]}`,
+		`{"profiles":[[1e999]]}`,
+		`{"profiles":[[1e-999]]}`,
+		`{"profiles":[[1.]]}`,
+		`{"profiles":[[.5]]}`,
+		`{"profiles":[[01]]}`,
+		`{"profiles":[[+1]]}`,
+		`{"profiles":[[0x1p-1]]}`,
+		`{"profiles":[[1e]]}`,
+		`{"profiles":[[NaN]]}`,
+		`{"profiles":[[1]]} x`,
+		`{"profiles":[[1]]}}`,
+		`{"profiles":[[1]]`,
+		`{"profiles":[[1]`,
+		`[[1]]`,
+		``,
+		`{}`,
+	}
+	for _, b := range doubted {
+		if decodeParity(t, s, []byte(b)) {
+			t.Errorf("recognizer accepted %q", b)
+		}
+	}
+	over := make([][]float64, MaxBatchProfiles+1)
+	for i := range over {
+		over[i] = []float64{1}
+	}
+	if decodeParity(t, s, marshalBatch(t, over)) {
+		t.Error("recognizer accepted MaxBatchProfiles+1 profiles")
+	}
+	if !decodeParity(t, s, marshalBatch(t, over[:MaxBatchProfiles])) {
+		t.Error("recognizer left MaxBatchProfiles profiles to the reference")
+	}
+}
+
+// rhoTokens returns n ρ tokens mixing the spellings a client may send:
+// three-decimal, full-precision 'f', 'e' with small exponents, and (one in
+// 64: ParseFloat takes its slow path on them) subnormals.
+func rhoTokens(n int, seed uint64) []string {
+	rng := stats.NewRNG(seed)
+	toks := make([]string, n)
+	for i := range toks {
+		switch {
+		case i%64 == 63:
+			toks[i] = strconv.FormatFloat(math.Float64frombits(1+rng.Uint64()%(1<<52-1)), 'g', -1, 64)
+		case i%3 == 0:
+			toks[i] = strconv.FormatFloat(float64(1+rng.Intn(1000))/1000, 'f', -1, 64)
+		case i%3 == 1:
+			toks[i] = strconv.FormatFloat(rng.Float64Open(), 'f', -1, 64)
+		default:
+			toks[i] = strconv.FormatFloat(rng.Float64Open()*1e-7, 'e', -1, 64)
+		}
+	}
+	return toks
+}
+
+// TestRecognizeBatchChunkBoundaries holds the chunk-parallel parse to the
+// reference decoder around its cutovers: inner arrays of exactly one byte
+// below, at and one byte above decodeChunkMinBytes, and of one byte either
+// side of a multiple of decodeChunkBytes, with whitespace around the commas.
+func TestRecognizeBatchChunkBoundaries(t *testing.T) {
+	s := NewServer()
+	seps := []string{",", " , ", ",\n\t"}
+	for k, target := range []int{
+		decodeChunkMinBytes - 1, decodeChunkMinBytes, decodeChunkMinBytes + 1,
+		3*decodeChunkBytes - 1, 3*decodeChunkBytes + 1, 5*decodeChunkBytes + 7,
+	} {
+		sep := seps[k%len(seps)]
+		toks := rhoTokens(target/16, uint64(target))
+		arr := []byte(toks[0])
+		for _, tok := range toks[1:] {
+			if len(arr)+len(sep)+len(tok) > target {
+				break
+			}
+			arr = append(append(arr, sep...), tok...)
+		}
+		for len(arr)+len(sep)+1 <= target {
+			arr = append(append(arr, sep...), '1')
+		}
+		arr = append(bytes.Repeat([]byte{' '}, target-len(arr)), arr...)
+		body := []byte(`{"profiles":[[0.5],[` + string(arr) + `],[1]]}`)
+		if !decodeParity(t, s, body) {
+			t.Fatalf("array of %d bytes (sep %q) left to the reference", len(arr), sep)
+		}
+	}
+}
+
+// TestBatchDeepBadRho: a bad token deep in the last parse chunk of a
+// 2^18-ρ profile gets the exact 400 text the reference decoder has always
+// given, whatever the defect.
+func TestBatchDeepBadRho(t *testing.T) {
+	s := NewServer()
+	toks := make([]string, 1<<18)
+	for i := range toks {
+		toks[i] = "0.5"
+	}
+	for _, tc := range []struct{ bad, msg string }{
+		{"1.5", "profiles[1]: profile: ρ[262141] = 1.5 exceeds 1; normalize so the slowest computer has ρ = 1"},
+		{"1e999", "profiles[1]: ρ values must be numbers"},
+		{"-0", "profiles[1]: profile: ρ[262141] = -0 must be positive"},
+		{"0", "profiles[1]: profile: ρ[262141] = 0 must be positive"},
+		{"01", "invalid JSON: invalid character '1' after array element"},
+		{".5", "invalid JSON: invalid character '.' looking for beginning of value"},
+		{"1.", "invalid JSON: invalid character ',' after decimal point in numeric literal"},
+		{`"x"`, "profiles[1]: ρ values must be numbers"},
+		{"0.5,", "invalid JSON: invalid character ',' looking for beginning of value"},
+	} {
+		toks[len(toks)-3] = tc.bad
+		body := []byte(`{"profiles":[[1,0.25],[` + strings.Join(toks, ",") + `]]}`)
+		status, _, msg := s.BatchBody(body)
+		if status != 400 || msg != tc.msg {
+			t.Errorf("bad ρ %q: %d %q, want 400 %q", tc.bad, status, msg, tc.msg)
+		}
+	}
+}
+
+// TestParseJSONNumber holds the token parser to the JSON number grammar
+// (json.Valid decides) and, on every valid token, to strconv.ParseFloat's
+// value bit for bit.
+func TestParseJSONNumber(t *testing.T) {
+	rng := stats.NewRNG(5)
+	toks := []string{"0", "-0", "1", "0.5", "1.0", "1e0", "1E+0", "5e-1", "100e-2",
+		"0.1", "0.3", "1e22", "1e23", "9007199254740991", "9007199254740993",
+		"0.12345678901234567890", "1234567890123456789", "12345678901234567890",
+		"4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "1e999",
+		"1e-400", "1e-22", "1e-23", "0.0000000000000000000001", "-1.5",
+		"", "-", "01", "1.", ".5", "+1", "1e", "1e+", "0x10", "1_0", "Inf", "NaN", "1.5.5", "--1"}
+	toks = append(toks, rhoTokens(4000, 6)...)
+	for i := 0; i < 4000; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			toks = append(toks, strconv.FormatFloat(f, 'g', -1, 64), strconv.FormatFloat(f, 'e', 3+rng.Intn(20), 64))
+		}
+		toks = append(toks, strconv.FormatFloat(float64(rng.Intn(1<<20))/float64(int(1)<<rng.Intn(30)), 'f', -1, 64))
+	}
+	for _, tok := range toks {
+		for _, next := range []string{"", ",", " ", "]"} {
+			f, n, ok := parseJSONNumber([]byte(tok + next))
+			want, err := strconv.ParseFloat(tok, 64)
+			valid := json.Valid([]byte(tok))
+			switch {
+			case !valid || err != nil:
+				if ok && n == len(tok) {
+					t.Errorf("%q accepted as %v, want rejected", tok, f)
+				}
+			case !ok || n != len(tok):
+				t.Errorf("%q: ok %v, length %d, want %d", tok, ok, n, len(tok))
+			case math.Float64bits(f) != math.Float64bits(want):
+				t.Errorf("%q = %v, ParseFloat %v", tok, f, want)
+			}
+		}
+	}
+}
+
+// TestHexFloatLen holds the key-length bound's per-float term to the
+// formatter it stands in for.
+func TestHexFloatLen(t *testing.T) {
+	fs := []float64{1, -1, 0, math.Copysign(0, -1), 0.5, 0.75, 2, 1e-300, 1e300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023, 0x1.8p-1070,
+		math.Inf(1), math.Inf(-1), math.NaN()}
+	for e := -1074; e <= 1023; e++ {
+		fs = append(fs, math.Ldexp(1, e), -math.Ldexp(1, e))
+	}
+	rng := stats.NewRNG(8)
+	for i := 0; i < 20000; i++ {
+		b := rng.Uint64()
+		fs = append(fs, math.Float64frombits(b), math.Float64frombits(b&(1<<52-1)), rng.Float64Open())
+	}
+	for _, f := range fs {
+		if got, want := hexFloatLen(f), len(strconv.AppendFloat(nil, f, 'x', -1, 64)); got != want {
+			t.Fatalf("hexFloatLen(%v) = %d, want %d (%s)", f, got, want, strconv.FormatFloat(f, 'x', -1, 64))
+		}
+	}
+}
+
+// TestBatchSkipsUnfittableKey streams a fresh 2^20-ρ batch — eight 2^17-ρ
+// profiles — through a server with a 192-entry, 16 MiB cache (16 shards of
+// 1 MiB), where no fragment's canonical entry can fit a shard. The batch
+// path must not build those keys, so the cache rejects nothing; a fragment
+// that does fit must still be keyed.
+func TestBatchSkipsUnfittableKey(t *testing.T) {
+	s := NewServerWithCache(CacheConfig{Entries: 192, MaxBytes: 16 << 20, Coalesce: true})
+	sets := make([][]float64, 8)
+	for i := range sets {
+		sets[i] = randomRhos(1<<17, uint64(40+i))
+	}
+	var out bytes.Buffer
+	if status, msg, err := s.BatchBodyStream(context.Background(), &out, marshalBatch(t, sets)); status != 200 || err != nil {
+		t.Fatalf("stream: %d %s %v", status, msg, err)
+	}
+	if c := s.cache.counters(); c.rejected != 0 || c.size != 0 {
+		t.Fatalf("cache rejected %d entries (size %d), want 0: unfittable keys were built", c.rejected, c.size)
+	}
+	if key := s.fragmentKey(s.Defaults, profile.Profile(randomRhos(1<<13, 9))); key == nil {
+		t.Fatal("a fragment that fits a shard was not keyed")
 	}
 }

@@ -289,6 +289,13 @@ func newCache(o cacheOptions) *responseCache {
 	return c
 }
 
+// maxEntryCost is the largest entry cost any shard admits: the first
+// shard's byte budget, since newCache gives the remainder bytes to the
+// first shards. 0 means no byte budget.
+func (c *responseCache) maxEntryCost() int64 {
+	return c.shards[0].byteBudget
+}
+
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

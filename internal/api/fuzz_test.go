@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -211,6 +212,61 @@ func FuzzParseCanonicalKey(f *testing.F) {
 			if p2[i] != p[i] {
 				t.Fatalf("re-parse ρ[%d]: %v vs %v", i, p2[i], p[i])
 			}
+		}
+	})
+}
+
+// FuzzBatchDecode holds the one-pass batch recognizer to the decoder of
+// record on arbitrary bodies: whenever recognizeBatch accepts a body, the
+// reference decoder accepts it too with the same profiles and params, and
+// BatchBody serves the bytes the reference decode renders to; whenever it
+// doubts one, the status and message are the reference's.
+func FuzzBatchDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"profiles":[[1,0.5],[0.25]]}`,
+		" {\n\t\"profiles\" : [ [ 1 , 0.5 ]\r, [0.25] ] } ",
+		`{"profiles":[[1e0,5E-1,2.5e-01,100e-2,1E+0,0.0000001,1e-7,4.9e-324]]}`,
+		`{"profiles":[[-0]]}`,
+		`{"profiles":[[0]]}`,
+		`{"profiles":[[1e999]]}`,
+		`{"profiles":[[1.]]}`,
+		`{"profiles":[[.5]]}`,
+		`{"profiles":[[01]]}`,
+		`{"Profiles":[[1]]}`,
+		`{"profiles":[[1]],"profiles":[[0.5]]}`,
+		`{"params":{"tau":0.01,"pi":1e-5,"delta":1},"profiles":[[1,0.5]]}`,
+		`{"profiles":[[1,0.5]],"params":{"tau":0.01,"pi":1e-5,"delta":1}}`,
+		`{"profiles":[[1]],"params":null}`,
+		`{"profiles":null}`,
+		`{"profiles":[[[1]]]}`,
+		`{"profiles":[[1,"]"]],"params":{"tau":1,"pi":1,"delta":1,"x":"],"}}`,
+		`{"profiles":[[1,","]]}`,
+		`{"profiles":[[1]]} x`,
+		`{"profiles":[[1]]}]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	over := []byte(`{"profiles":[[1]`)
+	for i := 0; i < MaxBatchProfiles; i++ {
+		over = append(over, ",[1]"...)
+	}
+	f.Add(append(over, "]}"...))
+	s := NewServerCacheSize(0)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if !decodeParity(t, s, body) {
+			return
+		}
+		params, profiles, _, _ := decodeBatchReference(body)
+		m := s.Defaults
+		if params != nil {
+			m = *params
+		}
+		if m.Validate() != nil {
+			return
+		}
+		status, got, msg := s.BatchBody(body)
+		if want := s.renderBatchBuffered(m, profiles); status != 200 || !bytes.Equal(got, want) {
+			t.Fatalf("BatchBody %d %s: %.200q, reference renders %.200q", status, msg, got, want)
 		}
 	})
 }

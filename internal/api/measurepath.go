@@ -11,6 +11,7 @@ import (
 	"hetero/internal/cluster"
 	"hetero/internal/incr"
 	"hetero/internal/model"
+	"hetero/internal/parallel"
 	"hetero/internal/profile"
 )
 
@@ -335,16 +336,60 @@ func unescapeComponent(s string) (string, bool) {
 // — everything up to and including the closing bracket of the profile array.
 // It is the profile-dependent (and typically dominant) part of the response;
 // the admission batcher renders it once per distinct profile in a flush and
-// memcpys it into each item's body.
+// memcpys it into each item's body. A profile longer than echoChunk renders
+// in contiguous chunks on the pool, spliced in order: the same bytes.
 func appendProfileEcho(dst []byte, rhos []float64) []byte {
 	dst = append(dst, `{"profile":[`...)
+	if len(rhos) > echoChunk {
+		dst = appendRhoListChunked(dst, rhos)
+	} else {
+		dst = appendRhoList(dst, rhos)
+	}
+	return append(dst, ']')
+}
+
+// AppendProfileEcho is appendProfileEcho for benchmarks that time the echo
+// render stage on its own.
+func AppendProfileEcho(dst []byte, rhos []float64) []byte {
+	return appendProfileEcho(dst, rhos)
+}
+
+// echoChunk is the ρ count of one chunk of a chunked profile echo, about a
+// millisecond of formatting. A profile up to it renders serially on the
+// caller's goroutine, where a fork-join would cost more than it spreads.
+const echoChunk = 32 << 10
+
+// echoChunkPool recycles the per-chunk render buffers of
+// appendRhoListChunked.
+var echoChunkPool = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// appendRhoList appends rhos comma-separated, each as appendJSONFloat.
+func appendRhoList(dst []byte, rhos []float64) []byte {
 	for i, rho := range rhos {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = appendJSONFloat(dst, rho)
 	}
-	dst = append(dst, ']')
+	return dst
+}
+
+// appendRhoListChunked is appendRhoList with the formatting of each
+// echoChunk-long run of rhos done on the pool, into a pooled buffer, and
+// the buffers appended to dst in order.
+func appendRhoListChunked(dst []byte, rhos []float64) []byte {
+	parts := parallel.MapChunks(0, len(rhos), echoChunk, func(lo, hi int) *[]byte {
+		buf := echoChunkPool.Get().(*[]byte)
+		*buf = appendRhoList((*buf)[:0], rhos[lo:hi])
+		return buf
+	})
+	for k, buf := range parts {
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, *buf...)
+		echoChunkPool.Put(buf)
+	}
 	return dst
 }
 

@@ -298,3 +298,31 @@ func TestRawLayerDoesNotCacheErrors(t *testing.T) {
 		t.Fatalf("raw layer cached %d entries for an erroring query", size)
 	}
 }
+
+// TestProfileEchoChunked: the chunked profile echo is byte-identical to the
+// serial one around its cutover and at every chunk seam, for ρ rendered in
+// 'f' form, in 'e' form (below 1e-6) and subnormal.
+func TestProfileEchoChunked(t *testing.T) {
+	rng := stats.NewRNG(21)
+	serial := func(rhos []float64) []byte {
+		return append(appendRhoList([]byte(`{"profile":[`), rhos), ']')
+	}
+	for _, n := range []int{echoChunk - 1, echoChunk, echoChunk + 1,
+		2*echoChunk - 1, 2*echoChunk + 1, 3*echoChunk - 1, 3*echoChunk + 1} {
+		rhos := make([]float64, n)
+		for i := range rhos {
+			switch i % 3 {
+			case 0:
+				rhos[i] = rng.Float64Open()
+			case 1:
+				rhos[i] = 1e-7 * rng.Float64Open()
+			default:
+				rhos[i] = math.Float64frombits(1 + rng.Uint64()%(1<<52-1))
+			}
+		}
+		want := serial(rhos)
+		if got := appendProfileEcho([]byte("prefix"), rhos); string(got) != "prefix"+string(want) {
+			t.Fatalf("n=%d: chunked echo diverges from the serial one", n)
+		}
+	}
+}
