@@ -774,9 +774,12 @@ func BenchmarkReadPostBody(b *testing.B) {
 // 2^20 ρ: eight profiles of 2^17 three-decimal ρ-values (9 MB), on a server
 // with a 192-entry, 16 MiB cache, where no fragment fits a cache shard and
 // so every request evaluates. "decode" parses and validates the body,
-// "echo" renders the eight profile echoes, and "stream" runs the whole
-// streamed response (decode, evaluation, render) into io.Discard. Each
-// reports ns/rho; times 2^20 it is the per-body cost of that stage.
+// "echo" renders the eight profile echoes, "buffered" runs the whole
+// response through BatchBody (the writer's buffer sink: one window of eight
+// fragments; the response is too large for the body front, so every call
+// evaluates), and "stream" runs it through BatchBodyStream (the stream
+// sink: one fragment per window) into io.Discard. Each reports ns/rho;
+// times 2^20 it is the per-body cost of that stage.
 func BenchmarkBatchFresh(b *testing.B) {
 	const units, k = 1 << 20, 8
 	rng := stats.NewRNG(17)
@@ -816,6 +819,14 @@ func BenchmarkBatchFresh(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range profiles {
 				buf = api.AppendProfileEcho(buf[:0], p)
+			}
+		}
+		perRho(b)
+	})
+	b.Run("buffered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if status, _, msg := s.BatchBody(body); status != 200 {
+				b.Fatalf("buffered: %d %s", status, msg)
 			}
 		}
 		perRho(b)

@@ -379,19 +379,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// A body of B bytes decodes to at most ~B/2 ρ-values, so bodies under
-	// the work-units threshold in bytes can never stream: they take the
-	// buffered engine (raw body-front, dedupe, cacheable assembly) whole.
-	if len(body) >= s.streamBatchThreshold() {
-		s.serveBatchLarge(w, r, body)
-		return
-	}
-	status, resp, msg := s.BatchBody(body)
-	if status != http.StatusOK {
+	// A streamed response's first write sends the 200 with this type.
+	w.Header().Set("Content-Type", "application/json")
+	status, resp, msg, _ := s.serveBatch(r.Context(), body, w, flusher(w), s.streamBatchThreshold())
+	switch {
+	case status != http.StatusOK:
 		writeError(w, status, msg)
-		return
+	case resp != nil:
+		writeRawJSON(w, status, resp)
 	}
-	writeRawJSON(w, http.StatusOK, resp)
 }
 
 // CacheStats is the /v1/statz view of the measure cache. Misses counts
@@ -423,11 +419,11 @@ type CacheStats struct {
 // CacheHits counts batch entries served from the canonical measure cache;
 // RawHits counts whole requests served (or coalesced) by the raw body-front
 // cache, whose residency RawBytes reports; Streamed counts responses
-// rendered through the bounded-memory streaming path. ProfilesUnknown
-// counts served requests whose profile count could not be recovered (no
-// admission-time meta and no sniffable count prefix) — those requests are
-// in Requests but contribute nothing to Profiles, reported explicitly
-// instead of silently skewing the ratio.
+// streamed one fragment per window, or copied from spill as a stream.
+// ProfilesUnknown counts served requests whose profile count could not be
+// recovered (no admission-time meta and no sniffable count prefix) — those
+// requests are in Requests but contribute nothing to Profiles, reported
+// explicitly instead of silently skewing the ratio.
 type BatchStats struct {
 	Requests        uint64 `json:"requests"`
 	Profiles        uint64 `json:"profiles"`

@@ -2,11 +2,14 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
+	"net/http"
 	"strconv"
 	"sync/atomic"
 
@@ -14,18 +17,23 @@ import (
 	"hetero/internal/model"
 	"hetero/internal/parallel"
 	"hetero/internal/profile"
+	"hetero/internal/spill"
 )
 
 // The POST /v1/batch hot path. The paper makes cluster power a function of
 // the profile alone, so the production traffic shape is "score a large
 // population of profiles against one parameter set" — repeated sweeps where
 // whole request bodies, individual profiles within a request, and profiles
-// across requests all recur. This file layers three reuse mechanisms over
-// the size-adaptive evaluation kernel (incr.ScheduleBatch):
+// across requests all recur. One function, serveBatch, owns the path's tier
+// order for all three entry points (the HTTP handler, BatchBody and
+// BatchBodyStream, which only choose a sink): the memory body front, spill
+// layer b, decode, and render through the one in-order writer
+// (batchstream.go). Three reuse mechanisms sit on it:
 //
 //  1. A raw body-front cache: the exact request body is the key, so a
 //     repeated sweep (identical bytes) is served without JSON decoding or
-//     evaluation, singleflight-coalesced like the /v1/measure raw layer.
+//     evaluation, singleflight-coalesced like the /v1/measure raw layer,
+//     and backed by spill layer b when the spill tier is on.
 //  2. Within-request dedupe: bit-identical profiles in one batch are
 //     grouped by a float-bits hash and evaluated once.
 //  3. The canonical measure cache: unique profiles of at least
@@ -74,56 +82,151 @@ func (s *Server) maxBody() int {
 	return DefaultMaxBody
 }
 
-// BatchBody runs the POST /v1/batch hot path for a raw request body without
-// the HTTP layer: raw body-front cache, JSON decode, dedupe, size-adaptive
-// evaluation, byte-exact assembly. It returns the HTTP status and, for
-// status 200, the fully buffered response body (newline-terminated,
-// matching json.Encoder). It exists so cmd/benchbatch and the equivalence
-// tests can measure the batch engine proper, free of net/http overhead; the
-// HTTP handler streams oversized responses instead (see batchstream.go) and
-// only takes this buffered path below the streaming threshold.
+// BatchBody runs the POST /v1/batch hot path for a raw request body
+// without the HTTP layer, with the buffer sink: it returns the HTTP status
+// and, for status 200, the fully buffered response body
+// (newline-terminated, matching json.Encoder). It exists so cmd/benchbatch
+// and the equivalence tests can measure the batch engine proper, free of
+// net/http overhead.
 func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
-	if len(body) < batchRawMinBody || s.batchRawCache.capacity <= 0 {
-		m, profiles, status, msg := s.decodeBatchRequest(body)
-		if status != 0 {
-			return status, nil, msg
-		}
-		s.noteBatch(len(profiles))
-		return 200, s.renderBatchBuffered(m, profiles), ""
-	}
-	// Raw body-front: for large bodies the exact bytes are a cache key
-	// checked before any decoding, so a repeated sweep costs one hash
-	// instead of a decode + evaluation; a response on disk for these bytes
-	// (evicted, stream-teed, or persisted at admission in write-through
-	// mode) is promoted back into memory. The profile count rides on the
-	// entry's meta, so a hit never re-parses bytes. A malformed body errors
-	// inside the fill, so a herd of it decodes once and nothing is cached.
-	resp, meta, src, err := readThrough(s, s.batchRawCache, hashKey(body), body, spillLayerBatch, 0, func() ([]byte, int64, error) {
-		m, profiles, status, msg := s.decodeBatchRequest(body)
-		if status != 0 {
-			return nil, 0, &statusError{status: status, msg: msg}
-		}
-		s.noteBatch(len(profiles))
-		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
-	})
-	if err != nil {
-		status, msg := errStatus(err)
-		return status, nil, msg
-	}
-	s.noteBatchSource(resp, meta, src)
-	return 200, resp, ""
+	status, resp, msg, _ = s.serveBatch(context.Background(), body, nil, nil, math.MaxInt)
+	return status, resp, msg
 }
 
-// noteBatchSource counts a body-front response that the request's own
-// compute did not produce: memory hits and coalesced waits as raw hits, and
-// those plus spill hits toward the request and profile counters.
-func (s *Server) noteBatchSource(resp []byte, meta int64, src source) {
+// serveBatch owns the /v1/batch tier order for every entry point; the
+// entry points only choose the sink. A body of at least threshold bytes
+// may stream to w: it does when its decoded work units reach threshold too.
+// Every other body is buffered. The answer is one of three:
+//
+//   - status ≠ 200: a rejection, with nothing written;
+//   - status 200 and resp non-nil: a buffered response, not yet written;
+//   - status 200 and resp nil: a response already streamed to w, err its
+//     end (nil when complete).
+//
+// The tiers, in order, for bodies of at least batchRawMinBody (smaller
+// ones decode and render directly):
+//
+//  1. The memory body front: the exact body bytes are the key, so a
+//     repeated sweep costs one hash. The profile count rides on the
+//     entry's meta, so a hit never re-parses bytes. A hit probes with the
+//     body and copies nothing.
+//  2. Spill layer b, when the tier is on. A body that may stream reads it
+//     as a CRC-verified stream copied to w chunk by chunk and never
+//     promoted (promotion would re-materialize an O(response) body); a
+//     buffered one reads it as a point read the memory front promotes.
+//  3. Decode. A buffered body decodes inside the front's singleflight
+//     fill, so a herd of it decodes once and a malformed one reaches every
+//     waiter uncached; a body that may stream decodes first, to learn
+//     whether it does.
+//  4. Render, through writeBatch. A streamed response is teed into spill
+//     b and committed only when complete. A buffered one the memory front
+//     keeps reaches disk through the front's spill sinks; one it cannot
+//     keep (the front is off, or the entry is over its shard's budget) is
+//     written to spill b at once.
+//
+// A miss copies the body once, into the string key the spill read, the
+// tee and the front's fill share: the path's one O(body) allocation. With
+// the front and the spill tier both off there is no key and no copy.
+func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush func(), threshold int) (status int, resp []byte, msg string, err error) {
+	engage := len(body) >= batchRawMinBody
+	var h uint64
+	var key string
+	if engage {
+		h = hashKey(body)
+		if resp, meta, ok := get(s.batchRawCache, h, body); ok {
+			s.batchRawHits.Add(1)
+			s.noteBatchCached(resp, meta)
+			return 200, resp, "", nil
+		}
+		if s.batchRawCache.capacity > 0 || s.spill != nil {
+			key = string(body)
+		}
+	}
+	var (
+		m        model.Params
+		profiles []profile.Profile
+		decoded  bool
+	)
+	spillLayer := byte(spillLayerBatch)
+	if len(body) >= threshold {
+		if key != "" {
+			if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
+				defer ent.Close()
+				s.batchStreamed.Add(1)
+				return 200, nil, "", s.copySpillStream(w, flush, ent)
+			}
+		}
+		spillLayer = 0 // read above, as a stream
+		if m, profiles, status, msg = s.decodeBatchRequest(body); status != 0 {
+			return status, nil, msg, nil
+		}
+		s.noteBatch(len(profiles))
+		decoded = true
+		if incr.WorkUnits(profiles) >= threshold {
+			if ctx.Err() != nil {
+				return http.StatusServiceUnavailable, nil, "request cancelled before streaming began", nil
+			}
+			s.batchStreamed.Add(1)
+			// The spill tee: appender writes never fail the client's (an
+			// appender error surfaces as a failed commit), and a response
+			// that did not complete is aborted, never served later.
+			dst := w
+			var ap *spill.Appender
+			if key != "" {
+				if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
+					dst = io.MultiWriter(w, ap)
+				}
+			}
+			err = s.writeBatch(ctx, dst, flush, 1, m, profiles)
+			if ap != nil {
+				if err == nil {
+					ap.Commit()
+				} else {
+					ap.Abort()
+				}
+			}
+			return 200, nil, "", err
+		}
+	}
+	render := func() ([]byte, int64, error) {
+		if !decoded {
+			if m, profiles, status, msg = s.decodeBatchRequest(body); status != 0 {
+				return nil, 0, &statusError{status: status, msg: msg}
+			}
+			s.noteBatch(len(profiles))
+		}
+		resp := s.renderBatchBuffered(m, profiles)
+		if s.spill != nil && key != "" && !s.batchRawCache.admits(h, key, resp) {
+			s.spill.store.Layer(spillLayerBatch).Put(key, resp)
+		}
+		return resp, int64(len(profiles)), nil
+	}
+	var meta int64
+	src := fromCompute
+	if key == "" {
+		resp, meta, err = render()
+	} else {
+		resp, meta, src, err = readThrough(s, s.batchRawCache, h, key, spillLayer, 0, render)
+	}
+	if err != nil {
+		status, msg := errStatus(err)
+		return status, nil, msg, nil
+	}
 	if src == fromMemory || src == fromCoalesced {
 		s.batchRawHits.Add(1)
 	}
-	if src != fromCompute {
+	if src != fromCompute && !decoded {
 		s.noteBatchCached(resp, meta)
 	}
+	return 200, resp, "", nil
+}
+
+// renderBatchBuffered renders a decoded batch with the buffer sink: the
+// whole batch is one window, assembled in one buffer of its exact size.
+func (s *Server) renderBatchBuffered(m model.Params, profiles []profile.Profile) []byte {
+	var buf bytes.Buffer
+	s.writeBatch(context.Background(), &buf, func() {}, len(profiles), m, profiles)
+	return buf.Bytes()
 }
 
 // noteBatch bumps the /v1/statz batch counters for one served request of n
@@ -176,9 +279,9 @@ func batchCountFromBody(b []byte) (int, bool) {
 }
 
 // decodeBatchRequest parses and validates one POST /v1/batch body. A zero
-// status means success; otherwise status/msg describe the rejection. It is
-// shared by the buffered and streaming paths, so validation happens exactly
-// once per request, before any cache admission or byte is written.
+// status means success; otherwise status/msg describe the rejection.
+// Validation happens exactly once per request, before any cache admission
+// or byte is written.
 //
 // recognizeBatch decodes the common envelope; anything it doubts is decoded
 // again by decodeBatchReference, so both decoders accept the same bodies
@@ -621,99 +724,6 @@ func parseJSONNumber(b []byte) (f float64, n int, ok bool) {
 	return f, i, err == nil
 }
 
-// renderBatchBuffered dedupes, evaluates and assembles one decoded batch
-// request into a single body — the cacheable rendering. Peak memory is
-// O(sum of fragment sizes); responses estimated above the streaming
-// threshold take writeBatchStream instead (HTTP path only).
-func (s *Server) renderBatchBuffered(m model.Params, profiles []profile.Profile) []byte {
-	// Dedupe bit-identical profiles within the request: repeated sweeps
-	// often carry the same candidate many times, and every duplicate shares
-	// its representative's rendered fragment.
-	uniq, canon, dups := dedupeProfiles(profiles)
-	s.batchDeduped.Add(uint64(dups))
-
-	frags := s.renderUnique(m, profiles, uniq)
-
-	// Assemble `{"count":N,"results":[f1,f2,...]}` + '\n' from the fragments
-	// (each a full measure body whose trailing newline is stripped) —
-	// byte-identical to json.Encoder on BatchResponse.
-	est := 32
-	for _, f := range frags {
-		est += len(f) + 1
-	}
-	out := make([]byte, 0, est)
-	out = append(out, `{"count":`...)
-	out = strconv.AppendInt(out, int64(len(profiles)), 10)
-	out = append(out, `,"results":[`...)
-	for i := range profiles {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		f := frags[canon[i]]
-		out = append(out, f[:len(f)-1]...)
-	}
-	out = append(out, ']', '}', '\n')
-	return out
-}
-
-// renderUnique produces the rendered measure fragment for every unique
-// profile (indices into profiles), consulting the canonical cache for
-// profiles large enough to be worth it and scheduling the remaining
-// evaluations size-adaptively: large profiles run the chunked
-// within-profile kernel sequentially across the pool, the rest fan out
-// largest-first. Fragment values are independent of the schedule —
-// incr.MeasureProfile is worker-count-invariant — so /v1/batch stays
-// bit-identical to /v1/measure in every regime.
-func (s *Server) renderUnique(m model.Params, profiles []profile.Profile, uniq []int) [][]byte {
-	frags := make([][]byte, len(uniq))
-
-	// Cache consult pass: resolve what memory already holds, so the
-	// scheduling decision below sees only the profiles that truly need
-	// evaluation.
-	type job struct {
-		u   int    // index into uniq/frags
-		key []byte // canonical key; nil = bypass the cache
-	}
-	var jobs []job
-	for u, i := range uniq {
-		key := s.fragmentKey(m, profiles[i])
-		if key != nil {
-			if body, ok := s.cachedFragment(key, nil); ok {
-				frags[u] = body
-				continue
-			}
-		}
-		jobs = append(jobs, job{u: u, key: key})
-	}
-
-	jobProfiles := make([]profile.Profile, len(jobs))
-	for j, jb := range jobs {
-		jobProfiles[j] = profiles[uniq[jb.u]]
-	}
-	render := func(jb job) []byte {
-		p := profiles[uniq[jb.u]]
-		if jb.key == nil {
-			return renderFragment(m, p, 1)
-		}
-		body, _ := s.cachedFragment(jb.key, func() []byte { return renderFragment(m, p, fragmentWorkers(p)) })
-		return body
-	}
-
-	sched := incr.ScheduleBatch(jobProfiles, 0)
-	for _, j := range sched.Large {
-		frags[jobs[j].u] = render(jobs[j])
-	}
-	weights := make([]int, len(sched.Small))
-	for k, j := range sched.Small {
-		weights[k] = len(jobProfiles[j])
-	}
-	parallel.ForEachLargestFirst(0, weights, func(k int) {
-		j := sched.Small[k]
-		frags[jobs[j].u] = render(jobs[j])
-	})
-	return frags
-}
-
 // fragmentKey returns the canonical key of a batch fragment, or nil when
 // the fragment bypasses the canonical cache: the cache is off, p is smaller
 // than batchCacheMinProfile, or the entry could not fit the largest shard's
@@ -772,44 +782,6 @@ func hexFloatLen(f float64) int {
 	return n
 }
 
-// cachedFragment reads a batch fragment through the canonical measure
-// cache — the same entries /v1/measure serves and fills, coalescing with
-// any concurrent measure request for the cluster. Batch fragments are
-// memory-only: they never read the spill tier or peers. A hit counts
-// toward the batch cache_hits statz; a miss runs eval under singleflight,
-// or reports false when eval is nil. key is copied only when a miss
-// inserts it.
-func (s *Server) cachedFragment(key []byte, eval func() []byte) ([]byte, bool) {
-	h := hashKey(key)
-	if body, _, ok := get(s.cache, h, key); ok {
-		s.batchCanonHits.Add(1)
-		return body, true
-	}
-	if eval == nil {
-		return nil, false
-	}
-	body, _, _, _ := fill(s.cache, h, key, func() ([]byte, int64, error) { return eval(), 0, nil })
-	return body, true
-}
-
-// fragmentWorkers is the worker count a fragment evaluates with: large
-// profiles turn the pool inward through the chunked within-profile kernel,
-// the rest run sequentially. The result is worker-count invariant either
-// way.
-func fragmentWorkers(p profile.Profile) int {
-	if len(p) >= incr.ScheduleLargeCutover {
-		return 0
-	}
-	return 1
-}
-
-// renderFragment evaluates p and renders its measure body into a fresh
-// buffer.
-func renderFragment(m model.Params, p profile.Profile, workers int) []byte {
-	fm := incr.MeasureProfile(m, p, workers)
-	return appendMeasureResponse(make([]byte, 0, 20*(len(p)+6)), p, fm)
-}
-
 // dedupeProfiles groups bit-identical profiles: uniq lists one
 // representative index per distinct profile (in first-appearance order),
 // canon[i] is the position in uniq of profile i's representative, and dups
@@ -841,33 +813,30 @@ func dedupeProfiles(profiles []profile.Profile) (uniq []int, canon []int, dups i
 	return uniq, canon, dups
 }
 
-// hashProfileBits is FNV-1a over the length and the IEEE-754 bits of every
-// ρ — no canonical-key build, no allocation.
-func hashProfileBits(p profile.Profile) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(len(p)))
+// hashProfileBits hashes a profile's length and the IEEE-754 bits of every
+// ρ, a word at a time (FNV-1a's xor-multiply step over 64-bit words): no
+// canonical-key build, no allocation. It is the prefilter of every grouping
+// by profile content — within-request dedupe here, the coalescer's flush
+// groups — which equalProfile confirms. Mixing the length keeps a profile
+// and its prefixes apart.
+func hashProfileBits(p []float64) uint64 {
+	h := (fnvOffset64 ^ uint64(len(p))) * fnvPrime64
 	for _, rho := range p {
-		mix(math.Float64bits(rho))
+		h = (h ^ math.Float64bits(rho)) * fnvPrime64
 	}
 	return h
 }
 
-func equalProfile(a, b profile.Profile) bool {
+// equalProfile reports bit-pattern equality of two profiles. Bits rather
+// than ==, so grouping can never conflate distinct patterns: validated ρ are
+// finite and positive, where the two agree, but the comparison stays exact
+// whatever arrives.
+func equalProfile(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}

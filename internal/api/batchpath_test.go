@@ -259,6 +259,15 @@ func TestDedupeProfiles(t *testing.T) {
 	if hashProfileBits(profile.MustNew(1)) == hashProfileBits(profile.MustNew(1, 1)) {
 		t.Fatal("length not mixed into the profile hash")
 	}
+	// Profiles one ULP apart in their last ρ are distinct profiles.
+	c := profile.MustNew(1, 0.5, 0.25)
+	d := profile.MustNew(1, 0.5, math.Nextafter(0.25, 1))
+	if uniq, canon, dups := dedupeProfiles([]profile.Profile{c, d, c}); len(uniq) != 2 || dups != 1 || canon[1] != 1 || canon[2] != 0 {
+		t.Fatalf("one-ULP profiles: uniq %v, canon %v, dups %d; want 2 distinct", uniq, canon, dups)
+	}
+	if hashProfileBits(c) == hashProfileBits(d) {
+		t.Fatal("a one-ULP difference does not reach the profile hash")
+	}
 }
 
 // TestBatchDecodeHandParser pins the in-place profiles parser against

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -10,34 +11,40 @@ import (
 
 	"hetero/internal/incr"
 	"hetero/internal/model"
+	"hetero/internal/parallel"
 	"hetero/internal/profile"
 	"hetero/internal/spill"
 )
 
-// The streaming render path for POST /v1/batch. The buffered path
-// (batchpath.go) assembles the whole response — up to MaxBatchProfiles
-// large-n fragments — in one []byte before writing, so its peak memory is
-// O(sum of fragment sizes): exactly where the paper's workload model (batch
-// evaluation over many heterogeneity profiles) pushes hardest. This file
-// renders the same bytes incrementally: the `{"count":N,"results":[`
-// envelope goes out first, then each per-profile fragment is rendered into
-// a small reusable buffer, written, and flushed, so peak memory is O(the
-// largest single fragment) no matter how many profiles the batch carries.
+// The one /v1/batch renderer. writeBatch writes the response for a decoded
+// batch in request order — the `{"count":N,"results":[` envelope, one
+// appendMeasureResponse fragment per profile, the closing frame — and
+// evaluates it a window of consecutive profiles at a time. The results
+// return in dispatch order over one channel, as in the paper's FIFO
+// protocols; the window is the period/latency trade-off of pipeline mapping
+// (Benoit, Rehn-Sonigo & Robert): a larger window offers more fragments to
+// evaluate at once, a smaller one holds fewer bytes and sends the first one
+// sooner. The sink fixes the window:
 //
-// The streamed bytes are bit-identical to the buffered rendering on
-// success — both splice the same appendMeasureResponse fragments into the
-// same frame, and incr.MeasureProfile is worker-count invariant — so the
-// buffered golden test (batch ≡ spliced per-profile measure) doubles as the
-// streaming oracle. What streaming gives up is cacheability: bytes that
-// were never assembled cannot be admitted to the raw body-front, so
-// responses *worth caching* (small enough to buffer) keep the buffered
-// path, and the two are arbitrated by incr.ScheduleBatch's work-units
-// heuristic against StreamBatchThreshold.
+//   - A buffer takes the whole batch as one window: every distinct profile
+//     is scheduled at once and the body is assembled for the memory front.
+//     Peak memory is O(sum of fragments).
+//   - A stream takes one fragment per window, flushed as it is written:
+//     peak memory is O(the largest fragment), however many profiles the
+//     batch carries. Inside a large fragment the chunked kernel, the
+//     chunk-parallel decode and the chunked echo still use every core.
 //
-// Errors after the first flushed byte cannot become an HTTP error status;
-// the JSON is instead terminated with a structured trailer object (see
-// writeStreamTrailer) that tells the client the results array is truncated
-// and why.
+// Within a window the distinct profiles that first appear there are
+// resolved from the canonical cache, and the misses are evaluated on the
+// plan incr.ScheduleBatch picks. A fragment whose profile recurs later is
+// held until its last use is written, so a fully distinct sweep holds
+// nothing between windows. incr.MeasureProfile is worker-count invariant,
+// so every window and every schedule writes the same bytes — the golden
+// tests hold both sinks to spliced per-profile /v1/measure bodies.
+//
+// A stream that fails after its first byte cannot become an HTTP error
+// status; the JSON is terminated with a structured trailer instead (see
+// writeStreamTrailer).
 
 // DefaultStreamBatchThreshold is the work-units estimate (incr.WorkUnits:
 // one unit per ρ-value) at which a /v1/batch response streams instead of
@@ -59,116 +66,24 @@ func (s *Server) streamBatchThreshold() int {
 	return DefaultStreamBatchThreshold
 }
 
-// shouldStreamBatch decides stream-vs-buffer for one decoded batch from the
-// same work-units estimate incr.ScheduleBatch plans evaluation with.
-func (s *Server) shouldStreamBatch(profiles []profile.Profile) bool {
-	return incr.WorkUnits(profiles) >= s.streamBatchThreshold()
-}
-
-// serveBatchLarge handles POST /v1/batch bodies large enough that the
-// response may stream (handleBatch routes smaller bodies — which can never
-// reach the work-units threshold — through the buffered BatchBody). The
-// raw body-front is still consulted first: a hit serves cached (buffered)
-// bytes without decoding; on a miss the body is decoded once and the
-// work-units estimate picks the render path.
-//
-// A front hit probes with the body bytes and copies nothing. A miss copies
-// the body once, into a string key that the spill stream, the spill tee and
-// the front's fill all share: that is the path's one O(body) allocation.
-func (s *Server) serveBatchLarge(w http.ResponseWriter, r *http.Request, body []byte) {
-	front := len(body) >= batchRawMinBody && s.batchRawCache.capacity > 0
-	var key string
-	h := hashKey(body)
-	if front {
-		if resp, meta, ok := get(s.batchRawCache, h, body); ok {
-			s.noteBatchSource(resp, meta, fromMemory)
-			writeRawJSON(w, http.StatusOK, resp)
-			return
-		}
-		key = string(body)
-		// Spill tier: a response for these exact body bytes — evicted from
-		// the memory front or teed off an earlier stream — serves straight
-		// from the segment reader, fragment-by-fragment, before any decode.
-		// Peak memory stays O(chunk); the entry is NOT promoted to memory
-		// (promotion would re-materialize an O(response) body). The
-		// record's CRC and key were fully verified by OpenVerified before
-		// the first byte goes out, so corruption can never reach a client —
-		// it reads as a miss and the request falls through to evaluation.
-		if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
-			defer ent.Close()
-			s.batchStreamed.Add(1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_ = s.copySpillStream(w, flusher(w), ent)
-			return
-		}
+// BatchBodyStream runs the POST /v1/batch hot path for a raw request body
+// with the stream sink, writing the response to w instead of assembling
+// it. A non-200 status means the request was rejected before any byte was
+// written (msg describes why, nothing reaches w). Status 200 with a nil
+// error means the complete response — bit-identical to BatchBody's — was
+// written; a non-nil error means the stream terminated early with the
+// structured JSON trailer (context cancellation) or an unfinished body
+// (write failure). It exists so cmd/benchbatch and the equivalence/fuzz
+// tests can drive the streaming engine free of net/http.
+func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) (status int, msg string, err error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	// Every request decodes for itself: it needs the profiles anyway to
-	// learn whether the response streams.
-	m, profiles, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		writeError(w, status, msg)
-		return
+	status, resp, msg, err := s.serveBatch(ctx, body, w, func() {}, 0)
+	if resp != nil {
+		_, err = w.Write(resp)
 	}
-	s.noteBatch(len(profiles))
-	if s.shouldStreamBatch(profiles) {
-		s.streamBatch(r.Context(), w, m, profiles, key)
-		return
-	}
-	if !front {
-		writeRawJSON(w, http.StatusOK, s.renderBatchBuffered(m, profiles))
-		return
-	}
-	// The spill tier was read above as a stream, so the buffered fill skips
-	// it; a herd of identical misses still renders once.
-	resp, _, src, err := readThrough(s, s.batchRawCache, h, key, 0, 0, func() ([]byte, int64, error) {
-		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	if src == fromMemory || src == fromCoalesced {
-		s.batchRawHits.Add(1)
-	}
-	writeRawJSON(w, http.StatusOK, resp)
-}
-
-// streamBatch writes one decoded batch response incrementally to an HTTP
-// response, flushing after every fragment so the peak buffered state —
-// ours and net/http's — stays O(one fragment). A non-empty key (the request
-// body) also copies the streamed bytes into a spill appender
-// (its private segment file), committed only when the stream completes
-// cleanly — an error trailer or snapped connection aborts the tee so no
-// truncated response can ever be served later.
-func (s *Server) streamBatch(ctx context.Context, w http.ResponseWriter, m model.Params, profiles []profile.Profile, key string) {
-	if err := ctx.Err(); err != nil {
-		// Nothing written yet: a plain error status is still possible.
-		writeError(w, http.StatusServiceUnavailable, "request cancelled before streaming began")
-		return
-	}
-	s.batchStreamed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	dst := io.Writer(w)
-	var ap *spill.Appender
-	if key != "" {
-		if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
-			// Appender writes never fail the client stream: errors are
-			// remembered inside and surface as a failed Commit.
-			dst = io.MultiWriter(w, ap)
-		}
-	}
-	// A write error means the client is gone; there is no one to deliver a
-	// trailer to, so the error is dropped after the stream is abandoned.
-	err := s.writeBatchStream(ctx, dst, flusher(w), m, profiles)
-	if ap != nil {
-		if err == nil {
-			ap.Commit()
-		} else {
-			ap.Abort()
-		}
-	}
+	return status, msg, err
 }
 
 // flusher returns w's Flush, or a no-op when w cannot flush.
@@ -215,80 +130,28 @@ func (s *Server) copySpillStream(w io.Writer, flush func(), ent *spill.Entry) er
 	return nil
 }
 
-// BatchBodyStream runs the POST /v1/batch hot path for a raw request body
-// with the streaming renderer, writing the response to w instead of
-// assembling it. A non-200 status means the request was rejected before
-// any byte was written (msg describes why, nothing reaches w). Status 200
-// with a nil error means the complete response — bit-identical to
-// BatchBody's — was written; a non-nil error means the stream terminated
-// early with the structured JSON trailer (context cancellation) or an
-// unfinished body (write failure). It exists so cmd/benchbatch and the
-// equivalence/fuzz tests can drive the streaming engine free of net/http.
-func (s *Server) BatchBodyStream(ctx context.Context, w io.Writer, body []byte) (status int, msg string, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Spill tier (only when enabled — with spill off this path is
-	// byte-for-byte the historical one): serve a stored response for
-	// these exact body bytes fragment-by-fragment from the segment
-	// reader, or tee the freshly rendered stream into the spill store.
-	key := ""
-	if s.spill != nil && len(body) >= batchRawMinBody {
-		key = string(body)
-		if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
-			s.batchStreamed.Add(1)
-			err := s.copySpillStream(w, func() {}, ent)
-			ent.Close()
-			return http.StatusOK, "", err
-		}
-	}
-	m, profiles, status, msg := s.decodeBatchRequest(body)
-	if status != 0 {
-		return status, msg, nil
-	}
-	s.noteBatch(len(profiles))
-	s.batchStreamed.Add(1)
-	dst := w
-	var ap *spill.Appender
-	if key != "" {
-		if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
-			dst = io.MultiWriter(w, ap)
-		}
-	}
-	err = s.writeBatchStream(ctx, dst, func() {}, m, profiles)
-	if ap != nil {
-		if err == nil {
-			ap.Commit()
-		} else {
-			ap.Abort()
-		}
-	}
-	return http.StatusOK, "", err
-}
+var (
+	commaByte  = []byte{','}
+	closeFrame = []byte("]}\n")
+)
 
-// writeBatchStream is the incremental renderer: envelope, then one
-// fragment at a time from a reusable buffer, then the closing frame. The
-// produced bytes match renderBatchBuffered exactly on success.
-//
-// Dedupe still evaluates each distinct profile once: a fragment whose
-// profile recurs later in the batch is retained (a stable copy when it was
-// rendered into the scratch buffer) until its last use is written, then
-// released — so retention is bounded by the duplicated uniques actually in
-// flight, and a fully distinct sweep retains nothing.
-//
-// Cancellation is checked before each fragment's evaluation, so a client
-// disconnect aborts the per-profile work promptly instead of evaluating
-// the remaining profiles into a dead socket.
-func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func(), m model.Params, profiles []profile.Profile) error {
+// writeBatch is the one /v1/batch renderer: it writes the response for
+// profiles to w in request order, evaluating window profiles at a time
+// (see the file comment), and flushes after every window. Cancellation is
+// checked before each window's evaluation, so a client that disconnects
+// stops the work at the next window and the stream ends with the trailer.
+// A sink that can Grow (a bytes.Buffer) is grown to each window's exact
+// size before the window is written.
+func (s *Server) writeBatch(ctx context.Context, w io.Writer, flush func(), window int, m model.Params, profiles []profile.Profile) error {
 	uniq, canon, dups := dedupeProfiles(profiles)
 	s.batchDeduped.Add(uint64(dups))
 	lastUse := make([]int, len(uniq))
 	for i, u := range canon {
 		lastUse[u] = i
 	}
-	held := make([][]byte, len(uniq))
-
-	scratch := make([]byte, 0, 4096)
+	held := make([][]byte, len(uniq)) // resolved fragments still due
+	frags := make([]fragment, 0, min(window, len(uniq)))
+	scratch := make([][]byte, cap(frags)) // render buffers, reused window to window
 	env := make([]byte, 0, 32)
 	env = append(env, `{"count":`...)
 	env = strconv.AppendInt(env, int64(len(profiles)), 10)
@@ -296,36 +159,50 @@ func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func()
 	if _, err := w.Write(env); err != nil {
 		return err
 	}
-	for i := range profiles {
+	for lo := 0; lo < len(profiles); lo += window {
 		if err := ctx.Err(); err != nil {
-			return s.writeStreamTrailer(w, flush, i, err)
+			return s.writeStreamTrailer(w, flush, lo, err)
 		}
-		u := canon[i]
-		frag := held[u]
-		if frag == nil {
-			var stable bool
-			frag, stable = s.renderStreamFragment(&scratch, m, profiles[uniq[u]])
-			if lastUse[u] > i {
-				if !stable {
-					cp := make([]byte, len(frag))
-					copy(cp, frag)
-					frag = cp
-				}
-				held[u] = frag
+		hi := min(lo+window, len(profiles))
+		frags = frags[:0]
+		for i := lo; i < hi; i++ {
+			if u := canon[i]; uniq[u] == i {
+				frags = append(frags, fragment{u: u, p: profiles[i]})
 			}
 		}
-		if i > 0 {
-			if _, err := w.Write(commaByte); err != nil {
+		s.resolveFragments(m, frags, scratch)
+		size := len(closeFrame)
+		for _, f := range frags {
+			held[f.u] = f.body
+		}
+		for i := lo; i < hi; i++ {
+			size += len(held[canon[i]])
+		}
+		if g, ok := w.(interface{ Grow(int) }); ok {
+			g.Grow(size)
+		}
+		for i := lo; i < hi; i++ {
+			u := canon[i]
+			if i > 0 {
+				if _, err := w.Write(commaByte); err != nil {
+					return err
+				}
+			}
+			// Each fragment is a full measure body; the trailing newline
+			// only belongs to the end of the response.
+			if _, err := w.Write(held[u][:len(held[u])-1]); err != nil {
 				return err
 			}
+			if lastUse[u] == i {
+				held[u] = nil
+			}
 		}
-		// Each fragment is a full measure body; the trailing newline only
-		// belongs to the end of the response.
-		if _, err := w.Write(frag[:len(frag)-1]); err != nil {
-			return err
-		}
-		if lastUse[u] == i {
-			held[u] = nil
+		// The next window reuses the render buffers: a fragment still due
+		// keeps a copy.
+		for _, f := range frags {
+			if f.scratch && held[f.u] != nil {
+				held[f.u] = bytes.Clone(f.body)
+			}
 		}
 		flush()
 	}
@@ -336,10 +213,107 @@ func (s *Server) writeBatchStream(ctx context.Context, w io.Writer, flush func()
 	return nil
 }
 
-var (
-	commaByte  = []byte{','}
-	closeFrame = []byte("]}\n")
-)
+// fragment is one distinct profile of a batch on its way to the wire.
+type fragment struct {
+	u       int // index among the batch's distinct profiles
+	p       profile.Profile
+	key     []byte // canonical key; nil when the fragment bypasses the cache
+	h       uint64 // hashKey(key)
+	body    []byte // the rendered measure body, newline-terminated
+	scratch bool   // body lives in a render buffer the next window reuses
+}
+
+// resolveFragments resolves one window's fragments: memory hits from the
+// canonical cache first, then the misses on the plan incr.ScheduleBatch
+// picks — large profiles one at a time with the pool turned inward (the
+// chunked kernel), the rest fanned out largest-first, one worker each.
+// Fragment k renders into scratch[k] unless the cache takes its body.
+func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch [][]byte) {
+	misses, last := 0, 0
+	for k := range frags {
+		if !s.probeFragment(m, &frags[k]) {
+			misses, last = misses+1, k
+		}
+	}
+	if misses == 0 {
+		return
+	}
+	if misses == 1 {
+		// A lone miss is its own plan — ScheduleBatch sends one profile
+		// through the chunked kernel at or above the cutover and runs it on
+		// one worker below — and a stream window has one miss at most, so
+		// it skips building the plan.
+		workers := 1
+		if len(frags[last].p) >= incr.ScheduleLargeCutover {
+			workers = 0
+		}
+		s.renderFragment(m, &frags[last], workers, &scratch[last])
+		return
+	}
+	miss := make([]int, 0, misses)
+	ps := make([]profile.Profile, 0, misses)
+	for k := range frags {
+		if frags[k].body == nil {
+			miss = append(miss, k)
+			ps = append(ps, frags[k].p)
+		}
+	}
+	sched := incr.ScheduleBatch(ps, 0)
+	for _, j := range sched.Large {
+		k := miss[j]
+		s.renderFragment(m, &frags[k], 0, &scratch[k])
+	}
+	weights := make([]int, len(sched.Small))
+	for x, j := range sched.Small {
+		weights[x] = len(ps[j])
+	}
+	parallel.ForEachLargestFirst(0, weights, func(x int) {
+		k := miss[sched.Small[x]]
+		s.renderFragment(m, &frags[k], 1, &scratch[k])
+	})
+}
+
+// probeFragment resolves f from the canonical measure cache — the entries
+// /v1/measure serves and fills — and reports whether it did. Batch
+// fragments are memory-only: they never read the spill tier or peers. A
+// hit counts toward the batch cache_hits statz and costs the key buffer.
+func (s *Server) probeFragment(m model.Params, f *fragment) bool {
+	if f.key = s.fragmentKey(m, f.p); f.key == nil {
+		return false
+	}
+	f.h = hashKey(f.key)
+	body, _, ok := get(s.cache, f.h, f.key)
+	if ok {
+		s.batchCanonHits.Add(1)
+		f.body = body
+	}
+	return ok
+}
+
+// renderFragment evaluates f's profile with workers and renders its body:
+// through the canonical cache's singleflight fill when f is keyed (the
+// cache then owns the body, and the key is copied once, on insert), else
+// into *buf, which the caller reuses.
+func (s *Server) renderFragment(m model.Params, f *fragment, workers int, buf *[]byte) {
+	if f.key == nil {
+		*buf = appendFragment(*buf, m, f.p, workers)
+		f.body, f.scratch = *buf, true
+		return
+	}
+	f.body, _, _, _ = fill(s.cache, f.h, f.key, func() ([]byte, int64, error) {
+		return appendFragment(nil, m, f.p, workers), 0, nil
+	})
+}
+
+// appendFragment evaluates p and renders its measure body into dst's
+// storage, growing it to the body's usual size first.
+func appendFragment(dst []byte, m model.Params, p profile.Profile, workers int) []byte {
+	fm := incr.MeasureProfile(m, p, workers)
+	if est := 20 * (len(p) + 6); cap(dst) < est {
+		dst = make([]byte, 0, est)
+	}
+	return appendMeasureResponse(dst[:0], p, fm)
+}
 
 // writeStreamTrailer terminates a partially streamed response as valid
 // JSON: the results array is closed and a structured error object is
@@ -365,21 +339,4 @@ func (s *Server) writeStreamTrailer(w io.Writer, flush func(), written int, caus
 	}
 	flush()
 	return cause
-}
-
-// renderStreamFragment renders the measure body for one profile
-// (newline-terminated, like every fragment). Cache-eligible profiles go
-// through cachedFragment exactly as the buffered path does — the returned
-// body is then cache-owned and stable. Otherwise the fragment is rendered
-// into the caller's reusable scratch buffer (stable = false: the bytes are
-// only valid until the next render, so callers retaining them must copy).
-// The result is worker-count invariant, which is what keeps streamed bytes
-// bit-identical to buffered ones.
-func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile) (frag []byte, stable bool) {
-	if key := s.fragmentKey(m, p); key != nil {
-		return s.cachedFragment(key, func() []byte { return renderFragment(m, p, fragmentWorkers(p)) })
-	}
-	fm := incr.MeasureProfile(m, p, fragmentWorkers(p))
-	*scratch = appendMeasureResponse((*scratch)[:0], p, fm)
-	return *scratch, false
 }

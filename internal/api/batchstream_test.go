@@ -7,12 +7,15 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"hetero/internal/core"
+	"hetero/internal/model"
+	"hetero/internal/profile"
 )
 
 // streamOf runs the streaming renderer for one batch body into a buffer and
@@ -27,11 +30,68 @@ func streamOf(t *testing.T, s *Server, body []byte) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// TestBatchStreamBitIdentical is the streaming half of the golden
-// equivalence contract: across every scheduling regime the buffered path
-// exercises — fan-out, the chunked within-profile kernel, dedupe collapse,
-// canonical-cache consult — the streamed bytes must equal the buffered
-// response exactly, which in turn equals spliced per-profile /v1/measure.
+// renderStreamFragment resolves one profile's fragment the way a stream's
+// one-fragment window does: a canonical-cache hit, else a render into
+// *scratch. stable reports that the body is cache-owned rather than scratch.
+func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile) (frag []byte, stable bool) {
+	f := fragment{p: p}
+	if !s.probeFragment(m, &f) {
+		s.renderFragment(m, &f, 1, scratch)
+	}
+	return f.body, !f.scratch
+}
+
+// batchSinks drives one batch body through every sink of the one writer:
+// the buffer and the stream in process, and both over handleBatch.
+var batchSinks = []struct {
+	name  string
+	serve func(t *testing.T, s *Server, body []byte) []byte
+}{
+	{"buffer", func(t *testing.T, s *Server, body []byte) []byte {
+		status, resp, msg := s.BatchBody(body)
+		if status != 200 {
+			t.Fatalf("buffered status %d: %s", status, msg)
+		}
+		return resp
+	}},
+	{"stream", func(t *testing.T, s *Server, body []byte) []byte {
+		got, err := streamOf(t, s, body)
+		if err != nil {
+			t.Fatalf("stream terminated early: %v", err)
+		}
+		return got
+	}},
+	{"http_buffer", func(t *testing.T, s *Server, body []byte) []byte {
+		return postBatch(t, s, -1, body)
+	}},
+	{"http_stream", func(t *testing.T, s *Server, body []byte) []byte {
+		return postBatch(t, s, 1, body)
+	}},
+}
+
+// postBatch serves one POST /v1/batch through handleBatch under the given
+// stream threshold.
+func postBatch(t *testing.T, s *Server, threshold int, body []byte) []byte {
+	t.Helper()
+	s.StreamBatchThreshold = threshold
+	w := httptest.NewRecorder()
+	s.handleBatch(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+	if w.Code != 200 {
+		t.Fatalf("batch status %d: %s", w.Code, w.Body)
+	}
+	return w.Body.Bytes()
+}
+
+// TestBatchStreamBitIdentical is the golden contract of the one writer:
+// through every sink — the buffer's one whole-batch window, the stream's
+// one-fragment windows, in process and over HTTP — and across every
+// scheduling regime — fan-out, the chunked within-profile kernel, dedupe
+// collapse, canonical-cache consult — the response equals spliced
+// per-profile /v1/measure bodies, so streamed and buffered bytes are
+// equal. The window_edges row puts a duplicate at the first and last
+// position, cacheable fragments and a chunked-kernel fragment between
+// small ones. Each batch runs twice on one server with the body front off,
+// cold and then with every cacheable fragment warm in the canonical cache.
 func TestBatchStreamBitIdentical(t *testing.T) {
 	small1 := randomRhos(5, 21)
 	small2 := randomRhos(9, 22)
@@ -45,31 +105,32 @@ func TestBatchStreamBitIdentical(t *testing.T) {
 		{"chunked_large", [][]float64{large}},
 		{"mixed_sizes", [][]float64{small1, large, cacheable, small2}},
 		{"dedup_collapse", [][]float64{small1, cacheable, small1, small1, cacheable}},
+		{"window_edges", [][]float64{small2, small1, cacheable, randomRhos(7, 26), large,
+			randomRhos(4, 27), randomRhos(batchCacheMinProfile, 28), small1, randomRhos(2, 29), small2}},
 	}
 	for _, regime := range regimes {
 		t.Run(regime.name, func(t *testing.T) {
 			body := marshalBatch(t, regime.sets)
-			buffered := NewServer()
-			status, want, msg := buffered.BatchBody(body)
-			if status != 200 {
-				t.Fatalf("buffered status %d: %s", status, msg)
-			}
-			streaming := NewServer()
-			got, err := streamOf(t, streaming, body)
-			if err != nil {
-				t.Fatalf("stream terminated early: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("streamed bytes diverge from buffered\nstream   %.200q\nbuffered %.200q", got, want)
-			}
-			if !bytes.Equal(got, expectedBatchBody(t, regime.sets)) {
-				t.Fatal("streamed bytes diverge from spliced per-profile measure")
-			}
-			// A second streamed pass on a warm server (canonical cache
-			// populated, dedupe counters nonzero) must produce the same bytes.
-			again, err := streamOf(t, streaming, body)
-			if err != nil || !bytes.Equal(again, want) {
-				t.Fatalf("warm streamed pass diverged (err %v)", err)
+			want := expectedBatchBody(t, regime.sets)
+			for _, sink := range batchSinks {
+				t.Run(sink.name, func(t *testing.T) {
+					s := NewServerWithCache(CacheConfig{Entries: 1024, Coalesce: false})
+					cacheable := map[string]bool{}
+					for _, rhos := range regime.sets {
+						if s.fragmentKey(s.Defaults, rhos) != nil {
+							cacheable[measureQueryFor(rhos)] = true
+						}
+					}
+					for pass, wantHits := range []int{0, len(cacheable)} {
+						hits := s.batchCanonHits.Load()
+						if got := sink.serve(t, s, body); !bytes.Equal(got, want) {
+							t.Fatalf("pass %d diverges from spliced per-profile measure\ngot  %.200q\nwant %.200q", pass, got, want)
+						}
+						if got := s.batchCanonHits.Load() - hits; got != uint64(wantHits) {
+							t.Fatalf("pass %d: %d canonical hits, want %d", pass, got, wantHits)
+						}
+					}
+				})
 			}
 		})
 	}

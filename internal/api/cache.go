@@ -296,6 +296,16 @@ func (c *responseCache) maxEntryCost() int64 {
 	return c.shards[0].byteBudget
 }
 
+// admits reports whether the cache would keep an entry of key and body
+// hashed to h: it is on, and the entry fits its shard's byte budget.
+func (c *responseCache) admits(h uint64, key string, body []byte) bool {
+	if c.capacity <= 0 {
+		return false
+	}
+	budget := c.shard(h).byteBudget
+	return budget <= 0 || entryCost(key, body) <= budget
+}
+
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -2,7 +2,6 @@ package api
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -246,9 +245,8 @@ func (b *measureBatcher) run() {
 
 // coalesceGroup is one distinct profile content within a flush.
 type coalesceGroup struct {
-	rhos     []float64
-	bitsHash uint64
-	echo     []byte // rendered profile-echo fragment, built once
+	rhos []float64
+	echo []byte // rendered profile-echo fragment, built once
 }
 
 // profMemo caches the decode of one distinct profile-value spelling within a
@@ -258,17 +256,6 @@ type profMemo struct {
 	group  int
 	status int
 	msg    string
-}
-
-// hashRhoBits hashes the exact float64 bit patterns of a profile — the
-// grouping prefilter; groups are confirmed by full comparison.
-func hashRhoBits(rhos []float64) uint64 {
-	h := uint64(fnvOffset64)
-	for _, r := range rhos {
-		h ^= math.Float64bits(r)
-		h *= fnvPrime64
-	}
-	return h
 }
 
 // flush evaluates one sealed batch: decode (no cache locks), group,
@@ -323,16 +310,16 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 		byHash map[uint64][]int
 	)
 	findGroup := func(rhos []float64) int {
-		h := hashRhoBits(rhos)
+		h := hashProfileBits(rhos)
 		if byHash == nil {
 			byHash = make(map[uint64][]int)
 		}
 		for _, g := range byHash[h] {
-			if floatsEqual(groups[g].rhos, rhos) {
+			if equalProfile(groups[g].rhos, rhos) {
 				return g
 			}
 		}
-		groups = append(groups, coalesceGroup{rhos: rhos, bitsHash: h})
+		groups = append(groups, coalesceGroup{rhos: rhos})
 		g := len(groups) - 1
 		byHash[h] = append(byHash[h], g)
 		return g
@@ -432,21 +419,4 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 			reply(i, coalesceResult{status: 200, body: bodies[i]})
 		}
 	}
-}
-
-// floatsEqual reports exact element-wise equality of two profiles — the
-// grouping confirmation after the bit-hash prefilter. Bit-pattern equality
-// (not ==) so grouping can never conflate distinct patterns; values that
-// parse from queries are never NaN, but parsed items arrive pre-decoded and
-// the comparison must stay exact regardless.
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

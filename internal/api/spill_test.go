@@ -196,6 +196,62 @@ func TestSpillBatchBufferedRoundtrip(t *testing.T) {
 	}
 }
 
+// TestBatchSpillWithoutMemoryFront: a large POST /v1/batch engages the
+// spill tier even when the batch memory front cannot keep the response —
+// the front is off (no cache entries, or no coalescing, which turns the raw
+// fronts off) or the entry is over its shard's byte budget. Repeating the
+// POST must be a spill hit with the same bytes, on the buffered route and
+// on the streamed one.
+func TestBatchSpillWithoutMemoryFront(t *testing.T) {
+	body := bigBatchBody(t, 4, 450)
+	_, want, _ := NewServer().BatchBody(body)
+	for _, c := range []struct {
+		name string
+		cfg  CacheConfig
+	}{
+		{"cache_size_0", CacheConfig{Entries: 0, Coalesce: true}},
+		{"coalescing_off", CacheConfig{Entries: 64, Coalesce: false}},
+		{"over_shard_budget", CacheConfig{Entries: 64, MaxBytes: 4 << 10, Shards: 1, Coalesce: true}},
+	} {
+		for _, route := range []struct {
+			name      string
+			threshold int
+		}{{"buffered", 0}, {"streamed", 1}} {
+			t.Run(c.name+"/"+route.name, func(t *testing.T) {
+				st, err := spill.Open(spill.Config{Dir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := NewServerWithCache(c.cfg)
+				s.StreamBatchThreshold = route.threshold
+				s.EnableSpill(st)
+				t.Cleanup(s.CloseSpill)
+				post := func() []byte {
+					w := httptest.NewRecorder()
+					s.handleBatch(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+					if w.Code != 200 {
+						t.Fatalf("status %d: %s", w.Code, w.Body)
+					}
+					return w.Body.Bytes()
+				}
+				if got := post(); !bytes.Equal(got, want) {
+					t.Fatalf("first POST diverged: %.120q", got)
+				}
+				hits := s.spillStats().Hits
+				if got := post(); !bytes.Equal(got, want) {
+					t.Fatalf("repeated POST diverged: %.120q", got)
+				}
+				if got := s.spillStats().Hits; got != hits+1 {
+					t.Fatalf("repeated POST was not a spill hit (hits %d -> %d)", hits, got)
+				}
+				if stz := statzOf(t, s); stz.Batch.Requests != 2 || stz.Batch.Profiles != 900 {
+					t.Fatalf("statz requests/profiles = %d/%d, want 2/900", stz.Batch.Requests, stz.Batch.Profiles)
+				}
+			})
+		}
+	}
+}
+
 // TestSpillStreamedBatch: the streaming batch path must tee its response
 // into the spill tier on the first pass and serve the second pass
 // byte-identically straight from the segment reader; after on-disk

@@ -4,9 +4,9 @@ package api
 // layer — the /v1/measure raw front and canonical layer, the
 // /v1/compare·/v1/speedup raw front, and the /v1/batch body front — resolves
 // a key by calling readThrough with the tiers it uses. Only three readers
-// go around it: batch fragments (memory only, cachedFragment), the streamed
-// batch spill hit (never promoted), and the peer endpoints, which answer
-// from this replica's memory and disk and never evaluate.
+// go around it: batch fragments (memory only, probeFragment), the streamed
+// batch spill hit in serveBatch (never promoted), and the peer endpoints,
+// which answer from this replica's memory and disk and never evaluate.
 
 // source names the tier that answered a readThrough.
 type source uint8

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -116,11 +117,34 @@ var tierSites = []tierSite{
 			return body, evals
 		},
 	},
+	batchHTTPSite("handleBatch streamed route", 1),
+	batchHTTPSite("handleBatch streamed route, buffered", batchRawMinBody),
 	{
-		name:     "serveBatchLarge",
+		name:     "BatchBodyStream",
 		ownerKey: func(t *testing.T, seed int) []byte { return tierBatchBody(t, seed) },
 		serve: func(t *testing.T, s *Server, seed int) (body []byte, evals uint64) {
-			s.StreamBatchThreshold = batchRawMinBody // route the body to serveBatchLarge
+			evals = canonicalMisses(s, func() {
+				var buf bytes.Buffer
+				if status, msg, err := s.BatchBodyStream(context.Background(), &buf, tierBatchBody(t, seed)); status != 200 || err != nil {
+					t.Fatalf("batch stream status %d: %s %v", status, msg, err)
+				}
+				body = buf.Bytes()
+			})
+			return body, evals
+		},
+	},
+}
+
+// batchHTTPSite drives POST /v1/batch through handleBatch on a server whose
+// stream threshold is threshold. The site's body is over it, so it takes
+// the streamed route (spill read as a stream); its one fragment of 300 ρ
+// then streams when threshold ≤ 300 and is buffered above.
+func batchHTTPSite(name string, threshold int) tierSite {
+	return tierSite{
+		name:     name,
+		ownerKey: func(t *testing.T, seed int) []byte { return tierBatchBody(t, seed) },
+		serve: func(t *testing.T, s *Server, seed int) (body []byte, evals uint64) {
+			s.StreamBatchThreshold = threshold
 			evals = canonicalMisses(s, func() {
 				w := httptest.NewRecorder()
 				s.handleBatch(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(tierBatchBody(t, seed))))
@@ -131,7 +155,7 @@ var tierSites = []tierSite{
 			})
 			return body, evals
 		},
-	},
+	}
 }
 
 // TestReadOrderPerCallSite pins readThrough's tier order at every call
