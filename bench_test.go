@@ -841,6 +841,38 @@ func BenchmarkBatchFresh(b *testing.B) {
 	})
 }
 
+// BenchmarkAppendJSONFloat times the response renderer's float formatting
+// through the serial profile echo (4096 ρ, below the chunked-echo cutover),
+// in ns/rho, for three classes of ρ: six-decimal k/10⁶ (perfbench's
+// measure spellings), three-decimal k/10³ (its batch spellings), and
+// full-precision uniform draws, which take strconv's shortest-digit search.
+func BenchmarkAppendJSONFloat(b *testing.B) {
+	const n = 4096
+	rng := stats.NewRNG(23)
+	classes := []struct {
+		name string
+		rho  func() float64
+	}{
+		{"six-decimal", func() float64 { return float64(1000+rng.Intn(999_001)) / 1e6 }},
+		{"three-decimal", func() float64 { return float64(1+rng.Intn(1000)) / 1e3 }},
+		{"full-precision", func() float64 { return 1e-3 + (1-1e-3)*rng.Float64() }},
+	}
+	for _, c := range classes {
+		rhos := make([]float64, n)
+		for i := range rhos {
+			rhos[i] = c.rho()
+		}
+		b.Run(c.name, func(b *testing.B) {
+			buf := api.AppendProfileEcho(nil, rhos)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = api.AppendProfileEcho(buf[:0], rhos)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/rho")
+		})
+	}
+}
+
 // BenchmarkDecompose measures the eq. (3) proof-identity evaluation.
 func BenchmarkDecompose(b *testing.B) {
 	m := model.Table1()

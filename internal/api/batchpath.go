@@ -113,16 +113,17 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 //  2. Spill layer b, when the tier is on. A body that may stream reads it
 //     as a CRC-verified stream copied to w chunk by chunk and never
 //     promoted (promotion would re-materialize an O(response) body); a
-//     buffered one reads it as a point read the memory front promotes.
+//     buffered one reads it as a point read the memory front promotes
+//     (a body that may stream but decodes to a buffered response reads
+//     both: the stream before the decode, the point read after it).
 //  3. Decode. A buffered body decodes inside the front's singleflight
 //     fill, so a herd of it decodes once and a malformed one reaches every
 //     waiter uncached; a body that may stream decodes first, to learn
 //     whether it does.
 //  4. Render, through writeBatch. A streamed response is teed into spill
-//     b and committed only when complete. A buffered one the memory front
-//     keeps reaches disk through the front's spill sinks; one it cannot
-//     keep (the front is off, or the entry is over its shard's budget) is
-//     written to spill b at once.
+//     b and committed only when complete. A buffered one reaches spill b
+//     through readThrough: by the front's sinks when the front keeps it,
+//     else written at once.
 //
 // A miss copies the body once, into the string key the spill read, the
 // tee and the front's fill share: the path's one O(body) allocation. With
@@ -147,7 +148,6 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 		profiles []profile.Profile
 		decoded  bool
 	)
-	spillLayer := byte(spillLayerBatch)
 	if len(body) >= threshold {
 		if key != "" {
 			if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
@@ -156,7 +156,6 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 				return 200, nil, "", s.copySpillStream(w, flush, ent)
 			}
 		}
-		spillLayer = 0 // read above, as a stream
 		if m, profiles, status, msg = s.decodeBatchRequest(body); status != 0 {
 			return status, nil, msg, nil
 		}
@@ -195,18 +194,14 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 			}
 			s.noteBatch(len(profiles))
 		}
-		resp := s.renderBatchBuffered(m, profiles)
-		if s.spill != nil && key != "" && !s.batchRawCache.admits(h, key, resp) {
-			s.spill.store.Layer(spillLayerBatch).Put(key, resp)
-		}
-		return resp, int64(len(profiles)), nil
+		return s.renderBatchBuffered(m, profiles), int64(len(profiles)), nil
 	}
 	var meta int64
 	src := fromCompute
 	if key == "" {
 		resp, meta, err = render()
 	} else {
-		resp, meta, src, err = readThrough(s, s.batchRawCache, h, key, spillLayer, 0, render)
+		resp, meta, src, err = readThrough(s, s.batchRawCache, h, key, spillLayerBatch, 0, render)
 	}
 	if err != nil {
 		status, msg := errStatus(err)

@@ -216,6 +216,22 @@ func FuzzParseCanonicalKey(f *testing.F) {
 	})
 }
 
+// FuzzAppendJSONFloat holds the float renderer to encoding/json on
+// arbitrary float64 bit patterns; NaN and ±Inf, which json.Marshal
+// rejects, are skipped.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{0.437, 0.000001, 1, 0.1 + 0.2, math.Nextafter(1, 0), 5e-324, -0.25, 1e21} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		checkJSONFloat(t, v)
+	})
+}
+
 // FuzzBatchDecode holds the one-pass batch recognizer to the decoder of
 // record on arbitrary bodies: whenever recognizeBatch accepts a body, the
 // reference decoder accepts it too with the same profiles and params, and

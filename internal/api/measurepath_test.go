@@ -101,6 +101,48 @@ func TestAppendJSONFloatMatchesMarshal(t *testing.T) {
 	}
 }
 
+// checkJSONFloat fails t unless appendJSONFloat renders f as json.Marshal
+// does, appending to a non-empty dst.
+func checkJSONFloat(t *testing.T, f float64) {
+	t.Helper()
+	want, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendJSONFloat([]byte{'['}, f); string(got[1:]) != string(want) {
+		t.Fatalf("appendJSONFloat(%v) = %q, want %q (bits %#x)", f, got[1:], want, math.Float64bits(f))
+	}
+}
+
+// TestAppendJSONFloatShortDecimals holds the exact-decimal path to
+// json.Marshal on every k/10^d for d ≤ 6 (each is some k'/10⁶) and on the
+// neighbouring double either side, which the path must hand to strconv or
+// render as its own shortest decimal.
+func TestAppendJSONFloatShortDecimals(t *testing.T) {
+	for k := 0; k <= 1_000_000; k++ {
+		f := float64(k) / 1e6
+		checkJSONFloat(t, f)
+		checkJSONFloat(t, math.Nextafter(f, 0))
+		checkJSONFloat(t, math.Nextafter(f, 2))
+	}
+}
+
+// TestAppendJSONFloatBoundaries pins the edges of the exact-decimal path's
+// range [1e-6, 1) and the values beside them.
+func TestAppendJSONFloatBoundaries(t *testing.T) {
+	cases := []float64{
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
+		1e-7, 1.5e-6, 0.000001234567, 0.1 + 0.2, 0.3, 0.1, 0.125, 0.5,
+		math.Nextafter(1, 0), 1 - 0x1p-53, 1, math.Nextafter(1, 2), 1.5,
+		0.999999999999999, 0.9999999999999999, 0.123456789012345, 0.1234567890123456,
+		0, math.Copysign(0, -1), 5e-324, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		-1e-6, -0.5, -math.Nextafter(1, 0), 1e15, 1e21,
+	}
+	for _, f := range cases {
+		checkJSONFloat(t, f)
+	}
+}
+
 // TestMeasureQueryParsingMatchesLegacy drives both the sliced parser (via
 // MeasureQuery) and the legacy url.Values path (via profileFromString +
 // paramsFromQuery semantics) over awkward queries and demands identical

@@ -240,8 +240,9 @@ func rawRecords(t *testing.T, dir string) (small, large int) {
 // TestSpillWriteSetEqualsReadSet: spill layer 'r' is only ever read for
 // spellings of at least rawFastPathMinQuery bytes, so it is only ever
 // written for them. Through the write-through insert, the evict sink and
-// the shutdown flush alike, small spellings leave no 'r' record and the
-// large one leaves exactly one. After a warm restart, the small queries —
+// the shutdown flush alike, and the direct write of an entry too large for
+// its shard, small spellings leave no 'r' record and the large one leaves
+// exactly one. After a warm restart, the small queries —
 // plain and respelled — are served from layer 'c' with zero evaluations.
 func TestSpillWriteSetEqualsReadSet(t *testing.T) {
 	small := []string{"profile=1,0.5,0.25", "profile=1,0.5,0.125&tau=0.01", "profile=0.75,1"}
@@ -266,7 +267,7 @@ func TestSpillWriteSetEqualsReadSet(t *testing.T) {
 		}
 		return st
 	}
-	for _, path := range []string{"insert", "evict", "flush"} {
+	for _, path := range []string{"insert", "evict", "flush", "reject"} {
 		t.Run(path, func(t *testing.T) {
 			dir := t.TempDir()
 			var s *Server
@@ -281,12 +282,19 @@ func TestSpillWriteSetEqualsReadSet(t *testing.T) {
 			case "flush":
 				s = NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: -1, Shards: 1, Coalesce: true})
 				s.EnableSpill(open(dir))
+			case "reject":
+				// A 64-byte budget keeps no entry of any layer in memory.
+				s = NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: 64, Shards: 1, Coalesce: true})
+				s.EnableSpill(open(dir))
 			}
 			serve(s, large)
 			serve(s, small...)
 			serve(s, respelled...)
 			if path == "evict" && s.rawCache.counters().evicted < uint64(len(small)) {
 				t.Fatal("spellings were not evicted; this case must exercise the evict sink")
+			}
+			if path == "reject" && s.rawCache.counters().rejected < uint64(len(small)) {
+				t.Fatal("spellings were kept; this case must exercise the rejected-entry write")
 			}
 			if path == "flush" {
 				s.flushResident(s.spill) // what CloseSpill runs in write-through mode

@@ -146,6 +146,66 @@ func TestSpillRawFrontRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSpillMeasureOverShardBudget: a /v1/measure response over its shard's
+// byte budget is kept by no memory layer, so readThrough writes it to spill
+// when it is computed, and the repeat is a spill hit, not an evaluation.
+func TestSpillMeasureOverShardBudget(t *testing.T) {
+	st, err := spill.Open(spill.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: 8 << 10, Shards: 1, Coalesce: true})
+	s.EnableSpillOptions(st, SpillOptions{WriteThrough: true})
+	t.Cleanup(s.CloseSpill)
+	q := largeTestQuery(1024, 5)
+	status, first := s.MeasureQuery(q)
+	if status != 200 {
+		t.Fatalf("status %d", status)
+	}
+	status, again := s.MeasureQuery(q)
+	if status != 200 || !bytes.Equal(again, first) {
+		t.Fatalf("repeat diverged (status %d)", status)
+	}
+	if rejected := s.rawCache.counters().rejected; rejected == 0 {
+		t.Fatal("the raw entry fit its shard; this case must exercise a rejected entry")
+	}
+	if evals, hits := s.MeasureEvals(), s.spillStats().Hits; evals != 1 || hits != 1 {
+		t.Fatalf("evaluations %d, spill hits %d; want 1 and 1", evals, hits)
+	}
+}
+
+// TestSpillMeasureWithoutMemoryCache: with the memory caches off
+// (-cache-size 0), a computed /v1/measure response goes straight to spill
+// layer c, so a repeated GET reads it back instead of evaluating.
+func TestSpillMeasureWithoutMemoryCache(t *testing.T) {
+	st, err := spill.Open(spill.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerCacheSize(0)
+	s.EnableSpill(st)
+	t.Cleanup(s.CloseSpill)
+	h := s.Handler()
+	var bodies [2][]byte
+	for i := range bodies {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/measure?profile=1,0.5,0.25", nil))
+		if w.Code != 200 {
+			t.Fatalf("GET %d: status %d: %s", i, w.Code, w.Body)
+		}
+		bodies[i] = w.Body.Bytes()
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("repeat diverged:\n got %q\nwant %q", bodies[1], bodies[0])
+	}
+	if sp := s.spillStats(); sp.Writes != 1 || sp.Hits != 1 {
+		t.Fatalf("spill writes %d, hits %d; want 1 and 1", sp.Writes, sp.Hits)
+	}
+	if evals := s.MeasureEvals(); evals != 1 {
+		t.Fatalf("evaluations %d, want 1", evals)
+	}
+}
+
 // bigBatchBody returns a /v1/batch JSON body over the raw body-front
 // floor, with a distinguishing first profile per seed.
 func bigBatchBody(t *testing.T, seed, profiles int) []byte {

@@ -28,6 +28,13 @@ const (
 // stored verbatim and promoted into memory by the fill; an error from
 // compute reaches every coalesced waiter and is never cached.
 //
+// A computed body reaches spillLayer through c's sinks when c keeps it. One
+// c cannot keep — c is off, or the entry is over its shard's byte budget —
+// is written to spillLayer here, once, so a repeat reads it from disk
+// instead of evaluating again. Callers name a spill layer only for keys its
+// reads look up (the raw layer's only at rawFastPathMinQuery bytes and up),
+// so this write adds no record no read would find.
+//
 // A []byte key is probed without copying. On a miss it is copied once,
 // into a string that keys the spill read and the memory entry alike when
 // the spill tier is consulted, else by the fill's insert. A string key is
@@ -60,10 +67,16 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 		}
 		src = fromCompute
 		body, meta, err := compute()
-		if err == nil && owner != "" {
+		if err != nil {
+			return nil, 0, err
+		}
+		if owner != "" {
 			s.cluster.Push(owner, peer, kb, body)
 		}
-		return body, meta, err
+		if useSpill && !c.admits(h, spillKey, body) {
+			s.spill.store.Layer(spillLayer).Put(spillKey, body)
+		}
+		return body, meta, nil
 	}
 	var body []byte
 	var meta int64
