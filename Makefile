@@ -65,7 +65,11 @@ BENCH_batch.json: FORCE
 FORCE:
 
 # The lint step also holds the RNG's hot draws inlinable: every Monte-Carlo
-# loop in the reproduction pays a call per draw if they stop inlining.
+# loop in the reproduction pays a call per draw if they stop inlining. And it
+# keeps unlinks off the spill store's callers: internal/spill may reach
+# os.Remove only through the reaper's removeFile hook and in recover (Open's
+# recovery, before the store serves), so an unlink that returns under the
+# store lock or on a request path fails the build.
 lint:
 	$(GO) vet ./...
 	gofmt -l cmd internal examples perfbench bench_test.go | tee /dev/stderr | wc -l | grep -q '^0$$'
@@ -74,6 +78,11 @@ lint:
 		echo "$$inl" | grep -qE "can inline \(\*RNG\)\.$$fn\$$" || { \
 			echo "make lint: (*RNG).$$fn no longer inlines (go build -gcflags=-m ./internal/stats)" >&2; exit 1; }; \
 	done
+	@bad=$$(awk '/^func /{fn=$$0} /os\.Remove|syscall\.Unlink|unix\.Unlink/ && !/^var removeFile = os\.Remove$$/ && fn !~ /^func \(st \*Store\) recover\(/ {print FILENAME ":" FNR ": " $$0}' $$(ls internal/spill/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$bad" ]; then \
+		echo "make lint: internal/spill unlinks outside the reaper's removeFile hook and recover:" >&2; \
+		echo "$$bad" >&2; exit 1; \
+	fi
 
 # check = lint + no stray generator artifacts + the benchmark certificates
 # parse and meet their thresholds. BENCH_incr.json is not committed (it is

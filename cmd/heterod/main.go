@@ -24,11 +24,12 @@
 // -spill-dir enables the bounded on-disk spill tier: entries evicted from
 // the in-memory response caches are written to append-only segment files
 // and consulted on later misses before peer fetch or re-evaluation, with
-// -spill-bytes bounding total disk use (whole segments retire oldest-first)
-// and -spill-index-bytes bounding the in-memory index. Streamed /v1/batch
-// responses are served straight from the segment reader in O(fragment)
-// memory. Off by default; off, the read path is byte-for-byte the
-// historical one.
+// -spill-bytes bounding total disk use (whole segments retire in
+// second-chance order: a segment read since it last came round is spared
+// once; a background reaper unlinks retired files) and -spill-index-bytes
+// bounding the in-memory index. Streamed /v1/batch responses are served
+// straight from the segment reader in O(fragment) memory. Off by default;
+// off, the read path is byte-for-byte the historical one.
 //
 // -spill-write-through (with -spill-dir) turns the spill tier into a
 // durability layer for restarts: memory-tier inserts are offered to the
@@ -99,7 +100,7 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 	coalesceMax := fs.Int("coalesce-max", api.DefaultCoalesceMaxBatch, "seal a coalesced flush at this many items (with -coalesce)")
 	coalesceWait := fs.Duration("coalesce-wait", api.DefaultCoalesceMaxWait, "seal a coalesced flush when its oldest item has waited this long (with -coalesce)")
 	spillDir := fs.String("spill-dir", "", "directory for the on-disk spill tier under the response caches (empty disables)")
-	spillBytes := fs.Int64("spill-bytes", spill.DefaultMaxBytes, "byte budget for spill segment files on disk; whole segments retire oldest-first past it (with -spill-dir)")
+	spillBytes := fs.Int64("spill-bytes", spill.DefaultMaxBytes, "byte budget for spill segment files on disk; whole segments retire past it, those read since their last turn spared once (with -spill-dir)")
 	spillIndexBytes := fs.Int64("spill-index-bytes", spill.DefaultMaxIndexBytes, "byte budget for the in-memory spill index (with -spill-dir)")
 	spillWriteThrough := fs.Bool("spill-write-through", false, "offer memory-tier inserts to the spill tier at admission time and flush resident entries on shutdown, so a warm restart serves the working set without re-evaluation (with -spill-dir)")
 	spillCompactRate := fs.Int64("spill-compact-rate", 0, "spill compaction rewrite budget in bytes/sec; 0 = default, negative = unlimited (with -spill-dir)")

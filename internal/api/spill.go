@@ -244,7 +244,8 @@ func (s *Server) spillOpenStream(layer byte, key string) (*spill.Entry, bool) {
 }
 
 // spillBegin starts a streamed tee of a batch response into the spill
-// tier under key in one layer; nil when spill is off (callers must
+// tier under key in one layer; nil when spill is off or the store refuses
+// the tee while its unlink backlog is past its bound (callers must
 // tolerate nil).
 func (s *Server) spillBegin(layer byte, key string) *spill.Appender {
 	t := s.spill
@@ -268,9 +269,11 @@ type SpillStats struct {
 	Corrupt          uint64 `json:"corrupt"`        // CRC failures read as misses
 	RetiredSegments  uint64 `json:"retired_segments"`
 	Compactions      uint64 `json:"compactions"`
-	CompactDeferred  uint64 `json:"compact_deferred"`  // kicks coalesced behind an in-progress pass
-	CompactThrottles uint64 `json:"compact_throttles"` // rate-budget sleeps in the compactor
-	CompactedBytes   uint64 `json:"compacted_bytes"`   // live bytes rewritten by compaction
+	CompactDeferred  uint64 `json:"compact_deferred"`   // kicks coalesced behind an in-progress pass
+	CompactThrottles uint64 `json:"compact_throttles"`  // rate-budget sleeps in the compactor
+	CompactedBytes   uint64 `json:"compacted_bytes"`    // live bytes rewritten by compaction
+	RefusedWrites    uint64 `json:"refused_writes"`     // stream tees and request-path puts refused past the unlink bound
+	ReapBacklogBytes int64  `json:"reap_backlog_bytes"` // retired segment bytes still waiting to be unlinked
 	Segments         int    `json:"segments"`
 	Entries          int    `json:"entries"`
 	Bytes            int64  `json:"bytes"`
@@ -307,6 +310,8 @@ func (s *Server) spillStats() SpillStats {
 		CompactDeferred:  st.CompactDeferred,
 		CompactThrottles: st.CompactThrottles,
 		CompactedBytes:   st.CompactedBytes,
+		RefusedWrites:    st.Refused,
+		ReapBacklogBytes: st.ReapBytes,
 		Segments:         st.Segments,
 		Entries:          st.Entries,
 		Bytes:            st.DiskBytes,

@@ -375,6 +375,60 @@ func TestSpillStreamedBatch(t *testing.T) {
 	}
 }
 
+// TestSpillStreamedSweepSurvivesFreshFlood: four streamed batch bodies,
+// re-read between fresh ones, stay spill hits while a flood of fresh
+// streamed bodies pushes the store many times past its MaxBytes. The
+// sweep records are the oldest on disk, so oldest-first retirement would
+// take them first; their reads give them a second chance instead.
+func TestSpillStreamedSweepSurvivesFreshFlood(t *testing.T) {
+	const profiles = 450
+	run := func(s *Server, body []byte) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		status, msg, err := s.BatchBodyStream(context.Background(), &buf, body)
+		if err != nil || status != 200 {
+			t.Fatalf("stream: status %d msg %q err %v", status, msg, err)
+		}
+		return buf.Bytes()
+	}
+	// Size the store to ten sweep records from one plain render.
+	probe := bigBatchBody(t, 0, profiles)
+	record := int64(len(probe) + len(run(NewServer(), probe)))
+	st, err := spill.Open(spill.Config{Dir: t.TempDir(), MaxBytes: 10 * record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: 128 << 10, Shards: 1, Coalesce: true})
+	s.StreamBatchThreshold = 1 << 10 // every body streams: renders tee, repeats stream from spill
+	s.EnableSpill(st)
+	t.Cleanup(s.CloseSpill)
+
+	var sweep, want [4][]byte
+	for i := range sweep {
+		sweep[i] = bigBatchBody(t, i, profiles)
+		want[i] = run(s, sweep[i])
+	}
+	const fresh = 40
+	for j := 0; j < fresh; j++ {
+		run(s, bigBatchBody(t, 100+j, profiles))
+		for i, body := range sweep {
+			hits := s.spillStats().Hits
+			if got := run(s, body); !bytes.Equal(got, want[i]) {
+				t.Fatalf("sweep body %d diverged after %d fresh bodies", i, j+1)
+			}
+			if s.spillStats().Hits != hits+1 {
+				t.Fatalf("sweep body %d missed spill after %d fresh bodies (%d segments retired)", i, j+1, s.spillStats().RetiredSegments)
+			}
+		}
+	}
+	if streamed, total := s.batchStreamed.Load(), uint64(len(sweep)+fresh*(1+len(sweep))); streamed != total {
+		t.Fatalf("%d of %d bodies streamed", streamed, total)
+	}
+	if retired := s.spillStats().RetiredSegments; retired < fresh/2 {
+		t.Fatalf("%d segments retired: the flood never swept the store", retired)
+	}
+}
+
 // TestStatzSpillBlock: /v1/statz must expose the spill tier, off and on.
 func TestStatzSpillBlock(t *testing.T) {
 	if stz := statzOf(t, NewServer()); stz.Spill.Enabled {

@@ -31,9 +31,11 @@ const (
 // A computed body reaches spillLayer through c's sinks when c keeps it. One
 // c cannot keep — c is off, or the entry is over its shard's byte budget —
 // is written to spillLayer here, once, so a repeat reads it from disk
-// instead of evaluating again. Callers name a spill layer only for keys its
-// reads look up (the raw layer's only at rawFastPathMinQuery bytes and up),
-// so this write adds no record no read would find.
+// instead of evaluating again. The write is a TryPut: while the store's
+// unlink backlog is past its bound it is skipped, not waited for. Callers
+// name a spill layer only for keys its reads look up (the raw layer's only
+// at rawFastPathMinQuery bytes and up), so this write adds no record no
+// read would find.
 //
 // A []byte key is probed without copying. On a miss it is copied once,
 // into a string that keys the spill read and the memory entry alike when
@@ -74,7 +76,7 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 			s.cluster.Push(owner, peer, kb, body)
 		}
 		if useSpill && !c.admits(h, spillKey, body) {
-			s.spill.store.Layer(spillLayer).Put(spillKey, body)
+			s.spill.store.Layer(spillLayer).TryPut(spillKey, body)
 		}
 		return body, meta, nil
 	}

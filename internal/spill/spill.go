@@ -20,10 +20,19 @@
 //     for byte, so a collision is at worst a miss, never a wrong body.
 //     (The serving tiers above already rely on key→body determinism.)
 //   - Both budgets — MaxBytes of disk and MaxIndexBytes of index — are
-//     enforced by retiring whole segments, oldest-registered first.
-//     Retirement drops the segment's live index entries; readers that
-//     hold a segment open pin it (refcount) and the file is unlinked
-//     once the last reader closes.
+//     enforced by retiring whole segments in second-chance (CLOCK) order:
+//     a read hit sets its segment's referenced bit, and a front segment
+//     whose bit is set moves to the back with the bit cleared instead of
+//     retiring. A store nobody reads retires oldest-registered first.
+//   - Retirement only drops the segment's live index entries and its
+//     accounting under the store lock; one background reaper closes and
+//     unlinks the file, so no caller waits on an unlink. Readers that hold
+//     a segment open pin it (refcount), and the last reader's Close hands
+//     the file to the reaper.
+//   - The bytes awaiting unlink are bounded by MaxBytes/reapShare. Past
+//     the bound a stream tee's Begin and a TryPut are refused (counted),
+//     while Put waits, so the directory holds at most MaxBytes plus the
+//     bound plus the records being written.
 //   - Overwrites and retired readers leave dead bytes behind; a
 //     background goroutine compacts any sealed segment whose dead
 //     fraction reaches CompactFraction by re-appending its live records
@@ -82,7 +91,15 @@ const (
 	// maxFieldLen bounds keyLen/bodyLen during scans so a corrupt
 	// header cannot drive a giant allocation.
 	maxFieldLen = 1 << 30
+
+	// reapShare sets the bound on retired bytes awaiting unlink to
+	// MaxBytes/reapShare: 128 MiB under the default budget.
+	reapShare = 8
 )
+
+// removeFile unlinks a retired file. The reaper is its only caller outside
+// recovery; it is a variable so a test can make the filesystem slow.
+var removeFile = os.Remove
 
 // Config configures a Store. Zero fields take the defaults above.
 type Config struct {
@@ -141,7 +158,13 @@ type Stats struct {
 	// stay under CompactBytesPerSec.
 	CompactThrottles uint64
 	// CompactedBytes is the total live bytes compaction has rewritten.
-	CompactedBytes     uint64
+	CompactedBytes uint64
+	// Refused counts request-path writes (a stream tee's Begin, a TryPut)
+	// refused while ReapBytes was past its bound.
+	Refused uint64
+	// ReapBytes is the size of the retired files the reaper has yet to
+	// unlink.
+	ReapBytes          int64
 	CompactBytesPerSec int64
 	Segments           int
 	Entries            int
@@ -176,6 +199,16 @@ type segment struct {
 	hashes []uint64
 	refs   int
 	doomed bool
+	// referenced is set by every read hit and cleared when the segment is
+	// spared retirement once (second chance).
+	referenced atomic.Bool
+}
+
+// reapItem is a retired file on its way to the reaper.
+type reapItem struct {
+	f    *os.File
+	path string
+	size int64
 }
 
 // Store is a bounded append-only segment store. All methods are safe
@@ -185,7 +218,7 @@ type Store struct {
 
 	mu        sync.RWMutex
 	segs      map[uint64]*segment
-	order     []uint64 // registration order; retirement pops the front
+	order     []uint64 // retirement order: the front retires, spared segments rotate to the back
 	active    *segment
 	index     map[uint64]entryLoc
 	nextSeq   uint64
@@ -205,6 +238,19 @@ type Store struct {
 
 	compactReq  chan struct{}
 	compactDone chan struct{}
+
+	// The reaper: retired files queue in reapQ for the one goroutine that
+	// closes and unlinks them, off st.mu. reapBytes is what they hold on
+	// disk; past reapMax, Begin and TryPut refuse and Put waits on
+	// reapCond, which the reaper broadcasts after every unlink. reaping
+	// turns false once Close has drained the queue.
+	reapQ     []reapItem
+	reapBytes int64
+	reapMax   int64
+	reapCond  *sync.Cond
+	reaping   bool
+	reapDone  chan struct{}
+	refused   atomic.Uint64
 }
 
 // Open opens (or creates) a store rooted at cfg.Dir, recovering any
@@ -225,8 +271,16 @@ func Open(cfg Config) (*Store, error) {
 		index:       make(map[uint64]entryLoc),
 		compactReq:  make(chan struct{}, 1),
 		compactDone: make(chan struct{}),
+		reapMax:     cfg.MaxBytes / reapShare,
+		reaping:     true,
+		reapDone:    make(chan struct{}),
 	}
+	st.reapCond = sync.NewCond(&st.mu)
+	// The reaper runs before recovery, whose budget enforcement retires
+	// segments through it.
+	go st.reapLoop()
 	if err := st.recover(); err != nil {
+		st.stopReaper()
 		st.closeFiles()
 		return nil, err
 	}
@@ -314,7 +368,9 @@ func (st *Store) recover() error {
 		}
 		seg.dead = seg.size - liveBytes
 	}
+	st.mu.Lock()
 	st.enforceBudgetsLocked()
+	st.mu.Unlock()
 	return nil
 }
 
@@ -426,29 +482,50 @@ func (st *Store) Begin(key string) *Appender {
 // Put stores body under key, overwriting any previous entry. Entries
 // larger than the whole disk budget are rejected. Put never blocks on
 // readers of other segments; it appends to the shared active segment.
+// While the retired bytes awaiting unlink are past their bound it waits
+// for the reaper, so it is for background writers (the evict writer, the
+// shutdown flush); a request path uses TryPut.
 // The return value reports whether the entry is durably stored (an
 // identical-length live entry counts: deterministic keys make it the
 // same body); false means a rejection or an I/O failure, so callers
 // that promise durability — the evict writer, the shutdown flush — can
 // count what the store actually dropped.
-func (l Layer) Put(key string, body []byte) bool {
+func (l Layer) Put(key string, body []byte) bool { return l.put(key, body, true) }
+
+// TryPut is Put for a request path: past the unlink bound it refuses the
+// write (counted in Stats.Refused) instead of waiting for the reaper.
+func (l Layer) TryPut(key string, body []byte) bool { return l.put(key, body, false) }
+
+func (l Layer) put(key string, body []byte, wait bool) bool {
 	st := l.st
 	h := hashKey(l.id, key)
 	keyLen := 1 + int64(len(key))
 	rec := recordHeaderSize + keyLen + int64(len(body))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return false
-	}
 	if rec > st.cfg.MaxBytes || keyLen > maxFieldLen || int64(len(body)) > maxFieldLen {
-		st.rejected.Add(1)
+		if !st.closed {
+			st.rejected.Add(1)
+		}
 		return false
 	}
-	// Deterministic keys mean an identical-length live entry is the
-	// same body; skip the rewrite.
-	if old, ok := st.index[h]; ok && int64(old.keyLen) == keyLen && old.bodyLen == uint32(len(body)) {
-		return true
+	for {
+		if st.closed {
+			return false
+		}
+		// Deterministic keys mean an identical-length live entry is the
+		// same body; skip the rewrite.
+		if old, ok := st.index[h]; ok && int64(old.keyLen) == keyLen && old.bodyLen == uint32(len(body)) {
+			return true
+		}
+		if st.reapBytes <= st.reapMax {
+			break
+		}
+		if !wait {
+			st.refused.Add(1)
+			return false
+		}
+		st.reapCond.Wait()
 	}
 	n := st.appendLocked(h, recordHead(l.id, key, body), body)
 	st.enforceBudgetsLocked()
@@ -525,15 +602,29 @@ func (st *Store) activeLocked() (*segment, error) {
 	return seg, nil
 }
 
+// enforceBudgetsLocked retires segments until both budgets hold, in
+// second-chance (CLOCK) order: a front segment a read has hit since it last
+// came round moves to the back with its bit cleared instead of retiring.
+// It spares at most one lap of segments per call, so it ends even while
+// readers keep setting bits, and a store whose every segment is hot still
+// retires oldest first after that lap.
 func (st *Store) enforceBudgetsLocked() {
-	for (st.diskBytes > st.cfg.MaxBytes || st.indexBytesLocked() > st.cfg.MaxIndexBytes) && len(st.order) > 0 {
-		st.retireLocked(st.order[0])
+	for spared := 0; (st.diskBytes > st.cfg.MaxBytes || st.indexBytesLocked() > st.cfg.MaxIndexBytes) && len(st.order) > 0; {
+		seq := st.order[0]
+		if spared < len(st.order) && st.segs[seq].referenced.Swap(false) {
+			copy(st.order, st.order[1:])
+			st.order[len(st.order)-1] = seq
+			spared++
+			continue
+		}
+		st.retireLocked(seq)
 	}
 }
 
-// retireLocked removes the segment from the store accounting and index.
-// The file is unlinked immediately unless a reader holds it pinned, in
-// which case the last Close unlinks it.
+// retireLocked removes the segment from the store accounting and index and
+// hands its file to the reaper, unless a reader holds it pinned, in which
+// case the last Close hands it over. Retirement only happens on an open
+// store, whose reaper always takes the file.
 func (st *Store) retireLocked(seq uint64) {
 	seg, ok := st.segs[seq]
 	if !ok {
@@ -560,8 +651,72 @@ func (st *Store) retireLocked(seq uint64) {
 		seg.doomed = true
 		return
 	}
-	seg.f.Close()
-	os.Remove(seg.path)
+	st.reapLocked(seg.f, seg.path, seg.size)
+}
+
+// reapLocked queues a file no index entry reaches for the reaper and
+// reports whether the reaper took it. Once Close has drained the reaper it
+// takes nothing, and the caller unlinks the file itself after releasing
+// st.mu (see release).
+func (st *Store) reapLocked(f *os.File, path string, size int64) bool {
+	if !st.reaping {
+		return false
+	}
+	st.reapQ = append(st.reapQ, reapItem{f: f, path: path, size: size})
+	st.reapBytes += size
+	st.reapCond.Broadcast()
+	return true
+}
+
+// release is reapLocked for a caller that does not hold st.mu: after
+// Close, when no request is served and no reaper runs, it closes and
+// unlinks the file itself.
+func (st *Store) release(f *os.File, path string, size int64) {
+	st.mu.Lock()
+	queued := st.reapLocked(f, path, size)
+	st.mu.Unlock()
+	if !queued {
+		f.Close()
+		removeFile(path)
+	}
+}
+
+// reapLoop is the reaper: it closes and unlinks queued files one at a time
+// without st.mu, and exits once the store is closed and the queue empty.
+func (st *Store) reapLoop() {
+	defer close(st.reapDone)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for {
+		for len(st.reapQ) == 0 && !st.closed {
+			st.reapCond.Wait()
+		}
+		if len(st.reapQ) == 0 {
+			st.reaping = false
+			return
+		}
+		it := st.reapQ[0]
+		st.reapQ[0] = reapItem{}
+		st.reapQ = st.reapQ[1:]
+		st.mu.Unlock()
+		it.f.Close()
+		removeFile(it.path)
+		st.mu.Lock()
+		st.reapBytes -= it.size
+		st.reapCond.Broadcast()
+	}
+}
+
+// stopReaper closes the store to new work and waits for the reaper to
+// unlink everything queued. It reports whether the store was open.
+func (st *Store) stopReaper() bool {
+	st.mu.Lock()
+	wasOpen := !st.closed
+	st.closed = true
+	st.reapCond.Broadcast()
+	st.mu.Unlock()
+	<-st.reapDone
+	return wasOpen
 }
 
 // Get returns a copy of the body stored under key. A CRC failure or a
@@ -592,6 +747,7 @@ func (l Layer) Get(key string) ([]byte, bool) {
 		st.misses.Add(1)
 		return nil, false
 	}
+	seg.referenced.Store(true)
 	st.hits.Add(1)
 	return buf[recordHeaderSize+int(loc.keyLen):], true
 }
@@ -624,7 +780,7 @@ func (st *Store) dropCorrupt(h uint64, loc entryLoc) {
 
 // Entry is a pinned, CRC-verified handle onto one stored record,
 // suitable for streaming the body in O(chunk) memory. Close releases
-// the pin; a retired segment's file is unlinked on last Close.
+// the pin; a retired segment's last Close hands its file to the reaper.
 type Entry struct {
 	st   *Store
 	seg  *segment
@@ -652,11 +808,11 @@ func (e *Entry) Close() {
 		st := e.st
 		st.mu.Lock()
 		e.seg.refs--
-		if e.seg.doomed && e.seg.refs == 0 {
-			e.seg.f.Close()
-			os.Remove(e.seg.path)
-		}
+		last := e.seg.doomed && e.seg.refs == 0
 		st.mu.Unlock()
+		if last {
+			st.release(e.seg.f, e.seg.path, e.seg.size)
+		}
 	})
 }
 
@@ -687,6 +843,7 @@ func (l Layer) OpenVerified(key string) (*Entry, bool) {
 		st.misses.Add(1)
 		return nil, false
 	}
+	seg.referenced.Store(true)
 	st.hits.Add(1)
 	return ent, true
 }
@@ -755,7 +912,10 @@ type Appender struct {
 }
 
 // Begin starts a streamed append for key. Returns nil if the store is
-// closed, the key is invalid, or the segment file cannot be created.
+// closed, the key is invalid, the segment file cannot be created, or the
+// retired bytes awaiting unlink are past their bound (counted in
+// Stats.Refused): a stream tee runs on a request path, so it is refused
+// rather than made to wait for the reaper.
 func (l Layer) Begin(key string) *Appender {
 	st := l.st
 	if 1+int64(len(key)) > maxFieldLen {
@@ -764,6 +924,11 @@ func (l Layer) Begin(key string) *Appender {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
+		return nil
+	}
+	if st.reapBytes > st.reapMax {
+		st.mu.Unlock()
+		st.refused.Add(1)
 		return nil
 	}
 	seq := st.nextSeq
@@ -830,13 +995,12 @@ func (ap *Appender) Commit() bool {
 	st := ap.st
 	rec := ap.size
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed || rec > st.cfg.MaxBytes {
-		ap.f.Close()
-		os.Remove(ap.path)
 		if !st.closed {
 			st.rejected.Add(1)
 		}
+		st.mu.Unlock()
+		st.release(ap.f, ap.path, rec)
 		return false
 	}
 	seg := &segment{
@@ -854,17 +1018,18 @@ func (ap *Appender) Commit() bool {
 	st.writes.Add(1)
 	st.enforceBudgetsLocked()
 	st.kickCompactLocked()
+	st.mu.Unlock()
 	return true
 }
 
-// Abort discards the in-progress record and its private segment file.
+// Abort discards the in-progress record; the reaper unlinks its private
+// segment file.
 func (ap *Appender) Abort() {
 	if ap.done {
 		return
 	}
 	ap.done = true
-	ap.f.Close()
-	os.Remove(ap.path)
+	ap.st.release(ap.f, ap.path, ap.size)
 }
 
 func (st *Store) kickCompactLocked() {
@@ -953,11 +1118,12 @@ func (st *Store) compactLoop() {
 // whose dead fraction reaches CompactFraction, then retires it,
 // returning the live bytes rewritten (the quantity the rate budget
 // meters). It runs under the store lock: at most SegmentBytes of
-// sequential I/O.
+// sequential I/O. It waits out an unlink backlog past its bound, as Put
+// does, by skipping the pass: a later write kicks it again.
 func (st *Store) compactOnce() int64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
+	if st.closed || st.reapBytes > st.reapMax {
 		return 0
 	}
 	var victim *segment
@@ -1019,6 +1185,7 @@ func (st *Store) Stats() Stats {
 		MaxBytes:           st.cfg.MaxBytes,
 		MaxIndexBytes:      st.cfg.MaxIndexBytes,
 		CompactBytesPerSec: st.cfg.CompactBytesPerSec,
+		ReapBytes:          st.reapBytes,
 	}
 	st.mu.RUnlock()
 	s.Hits = st.hits.Load()
@@ -1031,30 +1198,34 @@ func (st *Store) Stats() Stats {
 	s.CompactDeferred = st.compactDeferred.Load()
 	s.CompactThrottles = st.compactThrottles.Load()
 	s.CompactedBytes = st.compactedBytes.Load()
+	s.Refused = st.refused.Load()
 	return s
 }
 
+// closeFiles closes every live segment file, after the store is closed:
+// the files are collected under st.mu and closed without it.
 func (st *Store) closeFiles() {
+	st.mu.Lock()
+	files := make([]*os.File, 0, len(st.segs))
 	for _, seg := range st.segs {
-		seg.f.Close()
+		files = append(files, seg.f)
+	}
+	st.mu.Unlock()
+	for _, f := range files {
+		f.Close()
 	}
 }
 
-// Close stops compaction and closes all segment files. Data on disk
-// remains valid for a later Open.
+// Close stops compaction, waits for the reaper to unlink every retired
+// file, and closes all segment files. A Put waiting for the reaper returns
+// false. Data on disk remains valid for a later Open.
 func (st *Store) Close() error {
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
+	if !st.stopReaper() {
 		return nil
 	}
-	st.closed = true
-	st.mu.Unlock()
 	close(st.compactReq)
 	<-st.compactDone
-	st.mu.Lock()
 	st.closeFiles()
-	st.mu.Unlock()
 	return nil
 }
 

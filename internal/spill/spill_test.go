@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -277,7 +279,8 @@ func TestAppenderCommitAndAbort(t *testing.T) {
 	if _, ok := st.Get("aborted"); ok {
 		t.Fatal("aborted record visible")
 	}
-	// Aborted private segment file must be unlinked.
+	// Aborted private segment file must be unlinked (by the reaper).
+	waitReaped(t, st)
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	for _, p := range segs {
 		fi, err := os.Stat(p)
@@ -385,9 +388,334 @@ func TestRetiredSegmentPinnedByReader(t *testing.T) {
 		t.Fatalf("pinned read failed after retirement: %v", err)
 	}
 	ent.Close()
+	waitReaped(t, st)
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
 	if len(segs) != 0 {
 		t.Fatalf("doomed segment not unlinked after last Close: %v", segs)
+	}
+}
+
+// waitReaped waits until the reaper has unlinked every file handed to it.
+func waitReaped(t *testing.T, st *Store) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st.mu.RLock()
+		idle := len(st.reapQ) == 0 && st.reapBytes == 0
+		st.mu.RUnlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the reaper did not drain")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// returnsWithin fails the test if fn has not returned after five seconds:
+// with the unlink hook blocked, a call that waits on an unlink never does.
+func returnsWithin(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s waited on a blocked unlink", what)
+	}
+}
+
+// dirBytes sums the sizes of the segment files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, p := range segs {
+		if fi, err := os.Stat(p); err == nil {
+			n += fi.Size()
+		}
+	}
+	return n
+}
+
+// TestSlowUnlinkStaysOffCallersPath blocks every unlink in the remove hook
+// and drives the store past MaxBytes. Commit, Abort, Put, TryPut, Get and
+// OpenVerified must all return while the reaper is stuck. Past the unlink
+// bound, Begin and TryPut are refused and counted, and Put waits for the
+// reaper. The directory never holds more than MaxBytes plus the bound plus
+// one record. Once the hook is released and the store closed, only live
+// segments remain.
+func TestSlowUnlinkStaysOffCallersPath(t *testing.T) {
+	release := make(chan struct{})
+	var unlinks atomic.Int64
+	removeFile = func(path string) error {
+		unlinks.Add(1)
+		<-release
+		return os.Remove(path)
+	}
+	t.Cleanup(func() { removeFile = os.Remove })
+	dir := t.TempDir()
+	const maxBytes = 64 << 10
+	st := openTest(t, Config{Dir: dir, SegmentBytes: 1 << 10, MaxBytes: maxBytes})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(open) // runs before the store's Close
+
+	bound := int64(maxBytes / reapShare)
+	streamed := bytes.Repeat([]byte("s"), 1500)
+	ceiling := maxBytes + bound + recordHeaderSize + 1 + int64(len("streamed")) + int64(len(streamed))
+	seen := map[string]bool{}
+	check := func(step string) {
+		t.Helper()
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+		for _, p := range segs {
+			seen[filepath.Base(p)] = true
+		}
+		if n := dirBytes(t, dir); n > ceiling {
+			t.Fatalf("after %s the directory holds %d bytes, over MaxBytes + bound + one record = %d", step, n, ceiling)
+		}
+	}
+	body := bytes.Repeat([]byte("b"), 1000)
+	put := func(i int) {
+		t.Helper()
+		returnsWithin(t, "Put", func() {
+			if !st.Put(fmt.Sprintf("key-%04d", i), body) {
+				t.Error("Put under the bound failed")
+			}
+		})
+		check("Put")
+	}
+	next := 0
+	for ; st.Stats().RetiredSegments == 0; next++ {
+		put(next)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for unlinks.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the reaper never reached the remove hook")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Under the bound, a tee begins; its Abort and a Commit both return.
+	aborted := st.Begin("aborted")
+	if aborted == nil {
+		t.Fatalf("Begin refused under the bound (backlog %d of %d)", st.Stats().ReapBytes, bound)
+	}
+	aborted.Write(streamed)
+	check("aborted tee")
+	returnsWithin(t, "Abort", aborted.Abort)
+	check("Abort")
+	ap := st.Begin("streamed")
+	if ap == nil {
+		t.Fatalf("Begin refused under the bound (backlog %d of %d)", st.Stats().ReapBytes, bound)
+	}
+	ap.Write(streamed)
+	check("streamed tee")
+	returnsWithin(t, "Commit", func() {
+		if !ap.Commit() {
+			t.Error("Commit failed")
+		}
+	})
+	check("Commit")
+	for ; st.Stats().ReapBytes <= bound; next++ {
+		put(next)
+	}
+
+	// Past the bound: request-path writes are refused, reads are served.
+	if ap := st.Begin("refused"); ap != nil {
+		t.Fatalf("Begin past the bound (backlog %d of %d) returned an appender", st.Stats().ReapBytes, bound)
+	}
+	returnsWithin(t, "TryPut", func() {
+		if st.Layer('k').TryPut("ey-refused", body) {
+			t.Error("TryPut past the bound wrote")
+		}
+	})
+	if got := st.Stats().Refused; got != 2 {
+		t.Fatalf("refused = %d, want 2 (one Begin, one TryPut)", got)
+	}
+	returnsWithin(t, "Get", func() {
+		if got, ok := st.Get("streamed"); !ok || !bytes.Equal(got, streamed) {
+			t.Error("Get of the committed record missed")
+		}
+	})
+	returnsWithin(t, "OpenVerified", func() {
+		ent, ok := st.OpenVerified(fmt.Sprintf("key-%04d", next-1))
+		if !ok {
+			t.Error("OpenVerified of the newest record missed")
+			return
+		}
+		ent.Close()
+	})
+	check("reads")
+
+	// A background Put waits for the reaper, and completes once it runs.
+	putDone := make(chan bool, 1)
+	go func() { putDone <- st.Put("waiting", body) }()
+	select {
+	case <-putDone:
+		t.Fatal("Put past the bound did not wait for the reaper")
+	case <-time.After(50 * time.Millisecond):
+	}
+	check("waiting Put")
+	open()
+	select {
+	case ok := <-putDone:
+		if !ok {
+			t.Fatal("the waiting Put failed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiting Put never completed after the reaper ran")
+	}
+	check("released")
+
+	returnsWithin(t, "Close", func() { st.Close() })
+	live := map[string]bool{}
+	for seq := range st.segs {
+		live[segName(seq)] = true
+	}
+	var left []string
+	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	for _, p := range segs {
+		if !live[filepath.Base(p)] {
+			left = append(left, filepath.Base(p))
+		}
+	}
+	if len(left) != 0 {
+		t.Fatalf("retired files left after Close: %v", left)
+	}
+	if len(seen) <= len(live) {
+		t.Fatalf("no file was retired (%d seen, %d live)", len(seen), len(live))
+	}
+	if n, want := dirBytes(t, dir), st.Stats().DiskBytes; n != want {
+		t.Fatalf("directory holds %d bytes after Close, want the %d live", n, want)
+	}
+}
+
+// TestConcurrentRetirementLeavesOnlyLiveSegments drives puts, tees (both
+// committed and aborted), point reads and pinned reads from several
+// goroutines at once through a store many times smaller than what they
+// write. After Close the directory holds exactly the live segments: every
+// retired, aborted or pinned file reached the reaper and was unlinked.
+func TestConcurrentRetirementLeavesOnlyLiveSegments(t *testing.T) {
+	dir := t.TempDir()
+	st := openTest(t, Config{Dir: dir, SegmentBytes: 2 << 10, MaxBytes: 32 << 10})
+	body := bytes.Repeat([]byte("c"), 700)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				key := fmt.Sprintf("g%d-%03d", g, i)
+				switch i % 3 {
+				case 0:
+					st.Put(key, body)
+				case 1:
+					if ap := st.Begin(key); ap != nil {
+						ap.Write(body)
+						if i%2 == 0 {
+							ap.Commit()
+						} else {
+							ap.Abort()
+						}
+					}
+				}
+				st.Get(fmt.Sprintf("g%d-%03d", (g+1)%4, i-1))
+				if ent, ok := st.OpenVerified(fmt.Sprintf("g%d-%03d", g, i-3)); ok {
+					buf := make([]byte, 64)
+					ent.ReadBodyAt(buf, 0)
+					ent.Close()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if s := st.Stats(); s.RetiredSegments == 0 || s.DiskBytes > 32<<10 {
+		t.Fatalf("retired %d segments, %d bytes on disk", s.RetiredSegments, s.DiskBytes)
+	}
+	st.Close()
+	if n, want := dirBytes(t, dir), st.Stats().DiskBytes; n != want {
+		t.Fatalf("directory holds %d bytes after Close, want the %d live", n, want)
+	}
+	if st.Stats().ReapBytes != 0 {
+		t.Fatalf("Close left %d bytes for the reaper", st.Stats().ReapBytes)
+	}
+}
+
+// TestReadSegmentsSurviveBudgetSweeps: records read between writes keep
+// their segments through many budget sweeps (second chance), while the
+// unread records around them retire.
+func TestReadSegmentsSurviveBudgetSweeps(t *testing.T) {
+	st := openTest(t, Config{SegmentBytes: 1 << 10, MaxBytes: 16 << 10})
+	body := bytes.Repeat([]byte("h"), 1000)
+	hot := []string{"hot-0", "hot-1", "hot-2", "hot-3"}
+	for _, k := range hot {
+		st.Put(k, body)
+	}
+	for i := 0; i < 200; i++ {
+		st.Put(fmt.Sprintf("fresh-%04d", i), body)
+		if i%4 != 3 {
+			continue
+		}
+		for _, k := range hot {
+			if got, ok := st.Get(k); !ok || !bytes.Equal(got, body) {
+				t.Fatalf("hot record %s retired after %d fresh writes (%d segments retired)", k, i+1, st.Stats().RetiredSegments)
+			}
+		}
+	}
+	s := st.Stats()
+	if s.RetiredSegments < 50 {
+		t.Fatalf("only %d segments retired: the budget never swept", s.RetiredSegments)
+	}
+	if s.DiskBytes > 16<<10 {
+		t.Fatalf("disk bytes %d over budget", s.DiskBytes)
+	}
+	if _, ok := st.Get("fresh-0000"); ok {
+		t.Fatal("an unread record outlived 200 writes")
+	}
+
+	// A store whose every segment is hot still meets its budget.
+	for i := 200; i < 216; i++ {
+		st.Get(fmt.Sprintf("fresh-%04d", i-16))
+		st.Put(fmt.Sprintf("fresh-%04d", i), body)
+	}
+	if s := st.Stats(); s.DiskBytes > 16<<10 {
+		t.Fatalf("disk bytes %d over budget with every segment read", s.DiskBytes)
+	}
+}
+
+// TestUnreadStoreRetiresOldestFirst: with no reads, retirement keeps
+// registration order, so the records that survive are the newest ones.
+func TestUnreadStoreRetiresOldestFirst(t *testing.T) {
+	st := openTest(t, Config{SegmentBytes: 4 << 10, MaxBytes: 16 << 10})
+	body := bytes.Repeat([]byte("b"), 1024)
+	const n = 64
+	for i := 0; i < n; i++ {
+		st.Put(fmt.Sprintf("key-%04d", i), body)
+	}
+	// Probe from the newest down: reads set referenced bits, which no
+	// later write sees.
+	live := true
+	for i := n - 1; i >= 0; i-- {
+		_, ok := st.Get(fmt.Sprintf("key-%04d", i))
+		if ok && !live {
+			t.Fatalf("key-%04d survived while a newer key retired", i)
+		}
+		live = ok
+	}
+	if _, ok := st.Get(fmt.Sprintf("key-%04d", n-1)); !ok {
+		t.Fatal("newest key retired")
+	}
+	if st.Stats().RetiredSegments == 0 {
+		t.Fatal("no segment retired")
 	}
 }
 
