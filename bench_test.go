@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -31,6 +32,7 @@ import (
 	"hetero/internal/profile"
 	"hetero/internal/schedule"
 	"hetero/internal/sim"
+	"hetero/internal/spill"
 	"hetero/internal/stats"
 	"hetero/internal/workload"
 )
@@ -781,23 +783,8 @@ func BenchmarkReadPostBody(b *testing.B) {
 // sink: one fragment per window) into io.Discard. Each reports ns/rho;
 // times 2^20 it is the per-body cost of that stage.
 func BenchmarkBatchFresh(b *testing.B) {
-	const units, k = 1 << 20, 8
-	rng := stats.NewRNG(17)
-	body := []byte(`{"profiles":[`)
-	for p := 0; p < k; p++ {
-		if p > 0 {
-			body = append(body, ',')
-		}
-		body = append(body, '[')
-		for j := 0; j < units/k; j++ {
-			if j > 0 {
-				body = append(body, ',')
-			}
-			body = strconv.AppendFloat(body, float64(1+rng.Intn(1000))/1000, 'f', -1, 64)
-		}
-		body = append(body, ']')
-	}
-	body = append(body, "]}"...)
+	const units = 1 << 20
+	body := batchSweepBody(units, 8)
 	s := api.NewServerWithCache(api.CacheConfig{Entries: 192, MaxBytes: 16 << 20, Coalesce: true})
 	profiles, status, msg := s.DecodeBatch(body)
 	if status != 0 {
@@ -839,6 +826,71 @@ func BenchmarkBatchFresh(b *testing.B) {
 		}
 		perRho(b)
 	})
+}
+
+// batchSweepBody renders a /v1/batch body of k profiles of units/k
+// three-decimal ρ-values (2^20 ρ make 9 MB).
+func batchSweepBody(units, k int) []byte {
+	rng := stats.NewRNG(17)
+	body := []byte(`{"profiles":[`)
+	for p := 0; p < k; p++ {
+		if p > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '[')
+		for j := 0; j < units/k; j++ {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendFloat(body, float64(1+rng.Intn(1000))/1000, 'f', -1, 64)
+		}
+		body = append(body, ']')
+	}
+	return append(body, "]}"...)
+}
+
+// BenchmarkBatchSpillHit times one repeat of a 2^20-ρ /v1/batch body (the
+// BatchFresh body) over a loopback httptest server with the spill tier in a
+// temporary directory: the body is over the stream threshold, so the
+// repeat is a spill stream hit — the stream probe and its pre-verify of the
+// stored key and body, then the stored response written to the socket.
+// MB/s counts response bytes; B/op counts the client's and the server's
+// allocations alike. Run it with -cpu 1,2 to see what the second core buys.
+func BenchmarkBatchSpillHit(b *testing.B) {
+	body := batchSweepBody(1<<20, 8)
+	st, err := spill.Open(spill.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := api.NewServerWithCache(api.CacheConfig{Entries: 192, MaxBytes: 16 << 20, Coalesce: true})
+	s.EnableSpill(st)
+	defer s.CloseSpill()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func() int64 {
+		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			b.Fatalf("status %d: %v", resp.StatusCode, err)
+		}
+		return n
+	}
+	post() // the fresh render, teed into spill
+	hits := s.SpillStatsNow().Hits
+	b.SetBytes(post())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	if got := s.SpillStatsNow().Hits - hits; got != uint64(b.N)+1 {
+		b.Fatalf("%d spill hits for %d repeats", got, b.N+1)
+	}
 }
 
 // BenchmarkAppendJSONFloat times the response renderer's float formatting

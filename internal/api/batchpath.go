@@ -111,11 +111,11 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 //     entry's meta, so a hit never re-parses bytes. A hit probes with the
 //     body and copies nothing.
 //  2. Spill layer b, when the tier is on. A body that may stream reads it
-//     as a CRC-verified stream copied to w chunk by chunk and never
-//     promoted (promotion would re-materialize an O(response) body); a
-//     buffered one reads it as a point read the memory front promotes
-//     (a body that may stream but decodes to a buffered response reads
-//     both: the stream before the decode, the point read after it).
+//     as a CRC-verified stream written to w from disk (copySpillStream)
+//     and never promoted (promotion would re-materialize an O(response)
+//     body); a buffered one reads it as a point read the memory front
+//     promotes (a body that may stream but decodes to a buffered response
+//     reads both: the stream before the decode, the point read after it).
 //  3. Decode. A buffered body decodes inside the front's singleflight
 //     fill, so a herd of it decodes once and a malformed one reaches every
 //     waiter uncached; a body that may stream decodes first, to learn
@@ -125,23 +125,23 @@ func (s *Server) BatchBody(body []byte) (status int, resp []byte, msg string) {
 //     through readThrough: by the front's sinks when the front keeps it,
 //     else written at once.
 //
-// A miss copies the body once, into the string key the spill read, the
-// tee and the front's fill share: the path's one O(body) allocation. With
-// the front and the spill tier both off there is no key and no copy.
+// The body itself is the key, and the stream path copies none of it: the
+// stream probe reads it in place, and the tee copies it into the record
+// head on disk. Neither keeps it, so a caller may reuse its body buffer
+// once serveBatch returns. The buffered path copies it once, on a miss,
+// in readThrough: the memory front keeps its key. With the front and the
+// spill tier both off there is no key and no copy.
 func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush func(), threshold int) (status int, resp []byte, msg string, err error) {
-	engage := len(body) >= batchRawMinBody
 	var h uint64
-	var key string
-	if engage {
+	keyed := false
+	if len(body) >= batchRawMinBody {
 		h = hashKey(body)
 		if resp, meta, ok := get(s.batchRawCache, h, body); ok {
 			s.batchRawHits.Add(1)
 			s.noteBatchCached(resp, meta)
 			return 200, resp, "", nil
 		}
-		if s.batchRawCache.capacity > 0 || s.spill != nil {
-			key = string(body)
-		}
+		keyed = s.batchRawCache.capacity > 0 || s.spill != nil
 	}
 	var (
 		m        model.Params
@@ -149,11 +149,11 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 		decoded  bool
 	)
 	if len(body) >= threshold {
-		if key != "" {
-			if ent, ok := s.spillOpenStream(spillLayerBatch, key); ok {
+		if keyed {
+			if ent, ok := s.spillOpenStream(spillLayerBatch, body); ok {
 				defer ent.Close()
 				s.batchStreamed.Add(1)
-				return 200, nil, "", s.copySpillStream(w, flush, ent)
+				return 200, nil, "", s.copySpillStream(w, ent)
 			}
 		}
 		if m, profiles, status, msg = s.decodeBatchRequest(body); status != 0 {
@@ -171,8 +171,8 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 			// that did not complete is aborted, never served later.
 			dst := w
 			var ap *spill.Appender
-			if key != "" {
-				if ap = s.spillBegin(spillLayerBatch, key); ap != nil {
+			if keyed {
+				if ap = s.spillBegin(spillLayerBatch, body); ap != nil {
 					dst = io.MultiWriter(w, ap)
 				}
 			}
@@ -198,10 +198,10 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 	}
 	var meta int64
 	src := fromCompute
-	if key == "" {
+	if !keyed {
 		resp, meta, err = render()
 	} else {
-		resp, meta, src, err = readThrough(s, s.batchRawCache, h, key, spillLayerBatch, 0, render)
+		resp, meta, src, err = readThrough(s, s.batchRawCache, h, body, spillLayerBatch, 0, render)
 	}
 	if err != nil {
 		status, msg := errStatus(err)

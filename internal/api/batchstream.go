@@ -94,40 +94,32 @@ func flusher(w http.ResponseWriter) func() {
 	return func() {}
 }
 
-// spillStreamChunk is the read-copy granularity for serving a spilled
-// batch response; it bounds the serve path's peak memory per request.
-const spillStreamChunk = 64 << 10
+// spillCountSniff is how much of a spilled batch response is read to find
+// its profile count for the statz counters: `{"count":N,` fits.
+const spillCountSniff = 64
 
-// copySpillStream copies a verified spill entry to w in fixed-size
-// chunks, sniffing the profile count off the first chunk for the batch
-// statz counters. A mid-copy read error (the segment was pre-verified,
-// so only hardware faults remain) abandons the stream like a snapped
+// copySpillStream writes a verified spill entry to w after counting it in
+// the batch statz, from the count at the head of the stored response.
+// When w is the http.ResponseWriter the response is framed by
+// Content-Length, the stored body's length, so net/http hands the copy to
+// sendfile(2) (Entry.WriteTo); a fresh stream stays chunked. A mid-copy
+// read error (the segment was pre-verified, so only hardware faults
+// remain) abandons the response short of its length, like a snapped
 // client connection.
-func (s *Server) copySpillStream(w io.Writer, flush func(), ent *spill.Entry) error {
-	buf := make([]byte, spillStreamChunk)
-	var off int64
-	for off < ent.BodyLen() {
-		n, err := ent.ReadBodyAt(buf, off)
-		if n > 0 {
-			if off == 0 {
-				if c, ok := batchCountFromBody(buf[:n]); ok {
-					s.noteBatch(c)
-				} else {
-					s.batchRequests.Add(1)
-					s.batchProfilesUnknown.Add(1)
-				}
-			}
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return werr
-			}
-			flush()
-			off += int64(n)
-		}
-		if err != nil && off < ent.BodyLen() {
-			return err
-		}
+func (s *Server) copySpillStream(w io.Writer, ent *spill.Entry) error {
+	var head [spillCountSniff]byte
+	n, _ := ent.ReadBodyAt(head[:], 0)
+	if c, ok := batchCountFromBody(head[:n]); ok {
+		s.noteBatch(c)
+	} else {
+		s.batchRequests.Add(1)
+		s.batchProfilesUnknown.Add(1)
 	}
-	return nil
+	if rw, ok := w.(http.ResponseWriter); ok {
+		rw.Header().Set("Content-Length", strconv.FormatInt(ent.BodyLen(), 10))
+	}
+	_, err := ent.WriteTo(w)
+	return err
 }
 
 var (

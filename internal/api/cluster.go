@@ -100,11 +100,11 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 // cached bytes without an evaluation, which is what keeps the fleet's
 // ≤1.25-evals-per-key bound intact across restarts. The handle is fully
 // CRC-verified before the first byte is written, so corruption degrades to
-// a plain miss (never a bad byte), and the body streams in fixed-size
-// chunks (raw-front bodies can be large). The entry is deliberately not
-// promoted back into memory: a key only peers are asking for should not
-// displace this replica's own working set. Reports whether it wrote a
-// response.
+// a plain miss (never a bad byte), and the body is written from disk
+// without being materialized (raw-front bodies can be large). The entry is
+// deliberately not promoted back into memory: a key only peers are asking
+// for should not displace this replica's own working set. Reports whether
+// it wrote a response.
 func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []byte) bool {
 	var slayer byte
 	switch layer {
@@ -115,7 +115,7 @@ func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []
 	default:
 		return false
 	}
-	ent, ok := s.spillOpenStream(slayer, string(key))
+	ent, ok := s.spillOpenStream(slayer, key)
 	if !ok {
 		return false
 	}
@@ -123,23 +123,11 @@ func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []
 	s.servedGetsSpill.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(ent.BodyLen(), 10))
-	buf := make([]byte, spillStreamChunk)
-	for off := int64(0); off < ent.BodyLen(); {
-		n, err := ent.ReadBodyAt(buf, off)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return true
-			}
-			off += int64(n)
-		}
-		if err != nil {
-			// The record was verified before the 200; a mid-stream read
-			// failure truncates the response short of Content-Length, which
-			// the peer's HTTP client surfaces as an error (and treats as a
-			// miss) — still never a bad byte.
-			return true
-		}
-	}
+	// The record was verified before the 200; a mid-stream read failure
+	// truncates the response short of Content-Length, which the peer's HTTP
+	// client surfaces as an error (and treats as a miss) — still never a
+	// bad byte.
+	ent.WriteTo(w)
 	return true
 }
 

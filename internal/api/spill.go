@@ -233,26 +233,27 @@ func (s *Server) spillGet(layer byte, key string) ([]byte, bool) {
 }
 
 // spillOpenStream pins a CRC-verified streaming handle for key in one
-// layer so the body can be served chunk by chunk in O(chunk) memory. nil
-// when spill is off or the key misses.
-func (s *Server) spillOpenStream(layer byte, key string) (*spill.Entry, bool) {
+// layer, so the body can be written from disk (Entry.WriteTo) without
+// materializing it. key is read in place and not kept. nil when spill is
+// off or the key misses.
+func (s *Server) spillOpenStream(layer byte, key []byte) (*spill.Entry, bool) {
 	t := s.spill
 	if t == nil {
 		return nil, false
 	}
-	return t.store.Layer(layer).OpenVerified(key)
+	return t.store.Layer(layer).OpenVerifiedBytes(key)
 }
 
 // spillBegin starts a streamed tee of a batch response into the spill
-// tier under key in one layer; nil when spill is off or the store refuses
-// the tee while its unlink backlog is past its bound (callers must
-// tolerate nil).
-func (s *Server) spillBegin(layer byte, key string) *spill.Appender {
+// tier under key in one layer; the store copies key into the record head
+// and does not keep it. nil when spill is off or the store refuses the tee
+// while its unlink backlog is past its bound (callers must tolerate nil).
+func (s *Server) spillBegin(layer byte, key []byte) *spill.Appender {
 	t := s.spill
 	if t == nil {
 		return nil
 	}
-	return t.store.Layer(layer).Begin(key)
+	return t.store.Layer(layer).BeginBytes(key)
 }
 
 // SpillStats is the /v1/statz view of the on-disk spill tier.

@@ -43,6 +43,7 @@
 package spill
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +57,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hetero/internal/parallel"
 )
 
 const (
@@ -719,9 +722,12 @@ func (st *Store) stopReaper() bool {
 	return wasOpen
 }
 
-// Get returns a copy of the body stored under key. A CRC failure or a
-// hash-collision key mismatch reads as a miss; corruption additionally
-// drops the index entry so the slot can be refilled.
+// Get returns a copy of the body stored under key, of its exact size: the
+// record is read whole into a pooled buffer, verified there, and only its
+// body is copied out, so a caller that keeps the body (a memory cache
+// charges len(key)+len(body)) pins no record header or stored key. A CRC
+// failure or a hash-collision key mismatch reads as a miss; corruption
+// additionally drops the index entry so the slot can be refilled.
 func (l Layer) Get(key string) ([]byte, bool) {
 	st := l.st
 	h := hashKey(l.id, key)
@@ -733,7 +739,9 @@ func (l Layer) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	seg := st.segs[loc.seq]
-	buf := make([]byte, loc.recordLen())
+	bp := getRecordBuf(int(loc.recordLen()))
+	defer putRecordBuf(bp)
+	buf := *bp
 	_, err := seg.f.ReadAt(buf, loc.off)
 	st.mu.RUnlock()
 	if err != nil || !verifyRecordBuf(buf) {
@@ -749,7 +757,31 @@ func (l Layer) Get(key string) ([]byte, bool) {
 	}
 	seg.referenced.Store(true)
 	st.hits.Add(1)
-	return buf[recordHeaderSize+int(loc.keyLen):], true
+	// bytes.Clone copies without zeroing first, and never returns nil.
+	return bytes.Clone(buf[recordHeaderSize+int(loc.keyLen):]), true
+}
+
+// recordBufs recycles Get's record buffers (*[]byte). A buffer over
+// maxPooledRecord is not put back, so one large read pins nothing.
+var recordBufs sync.Pool
+
+const maxPooledRecord = DefaultSegmentBytes
+
+// getRecordBuf returns a buffer of length n, pooled when one is large
+// enough; putRecordBuf hands it back.
+func getRecordBuf(n int) *[]byte {
+	if bp, ok := recordBufs.Get().(*[]byte); ok && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		return bp
+	}
+	buf := make([]byte, n)
+	return &buf
+}
+
+func putRecordBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledRecord {
+		recordBufs.Put(bp)
+	}
 }
 
 // verifyRecordBuf checks header lengths and CRC of a full record buffer.
@@ -802,6 +834,45 @@ func (e *Entry) ReadBodyAt(p []byte, off int64) (int, error) {
 	return e.seg.f.ReadAt(p, e.loc.off+recordHeaderSize+int64(e.loc.keyLen)+off)
 }
 
+// WriteTo writes the body to w. It reads through a file of its own, opened
+// by path on the pinned segment and positioned at the body, so a sink that
+// implements io.ReaderFrom over a socket (a net/http response framed by
+// Content-Length) hands the copy to sendfile(2) and the body never passes
+// through user space. A pinned segment's file is neither unlinked nor
+// reused, so the path names the record OpenVerified checked. If the open
+// fails, the body is copied with ReadBodyAt in bounded chunks instead. A
+// body shorter on disk than BodyLen is an io.ErrUnexpectedEOF.
+func (e *Entry) WriteTo(w io.Writer) (int64, error) {
+	bodyLen := int64(e.loc.bodyLen)
+	if f, err := os.Open(e.seg.path); err == nil {
+		defer f.Close()
+		if _, err := f.Seek(e.loc.off+recordHeaderSize+int64(e.loc.keyLen), io.SeekStart); err == nil {
+			n, err := io.Copy(w, &io.LimitedReader{R: f, N: bodyLen})
+			if err == nil && n < bodyLen {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, err
+		}
+	}
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	var n int64
+	for n < bodyLen {
+		m, err := e.ReadBodyAt(*bp, n)
+		if m > 0 {
+			wn, werr := w.Write((*bp)[:m])
+			n += int64(wn)
+			if werr != nil {
+				return n, werr
+			}
+		}
+		if err != nil && n < bodyLen {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
 // Close releases the segment pin.
 func (e *Entry) Close() {
 	e.once.Do(func() {
@@ -817,10 +888,15 @@ func (e *Entry) Close() {
 }
 
 // OpenVerified pins the record stored under key and fully verifies its
-// CRC and key bytes in fixed-size chunks before returning, so no
-// corrupt byte can reach a streaming consumer. It returns false on
-// miss, collision, or corruption.
-func (l Layer) OpenVerified(key string) (*Entry, bool) {
+// CRC and key bytes before returning, so no corrupt byte can reach a
+// streaming consumer. It returns false on miss, collision, or corruption.
+func (l Layer) OpenVerified(key string) (*Entry, bool) { return openVerified(l, key) }
+
+// OpenVerifiedBytes is OpenVerified for a []byte key, which it reads in
+// place and does not keep: the caller may reuse it once this returns.
+func (l Layer) OpenVerifiedBytes(key []byte) (*Entry, bool) { return openVerified(l, key) }
+
+func openVerified[K string | []byte](l Layer, key K) (*Entry, bool) {
 	st := l.st
 	h := hashKey(l.id, key)
 	st.mu.Lock()
@@ -848,10 +924,31 @@ func (l Layer) OpenVerified(key string) (*Entry, bool) {
 	return ent, true
 }
 
-// verifyEntryChunked re-derives the record CRC with a bounded buffer and
-// compares the stored key against id ++ key. corrupt reports whether the
-// failure was CRC/framing (as opposed to a benign hash collision).
-func verifyEntryChunked(f *os.File, loc entryLoc, id byte, key string) (ok, corrupt bool) {
+const (
+	// verifyChunk is the read size of the pre-verify, and of WriteTo's
+	// fallback copy.
+	verifyChunk = 64 << 10
+
+	// verifyPartBytes splits the pre-verify: a record's key and body are
+	// checked in parts of this many bytes on the worker pool, so a record
+	// up to this size verifies serially on the caller's goroutine.
+	verifyPartBytes = 1 << 20
+)
+
+// chunkBufs recycles verifyChunk-byte read buffers (*[]byte).
+var chunkBufs = sync.Pool{New: func() any {
+	b := make([]byte, verifyChunk)
+	return &b
+}}
+
+// verifyEntryChunked re-derives the record CRC in bounded reads and
+// compares the stored key against id ++ key. Records over verifyPartBytes
+// are split into parts verified concurrently (parallel.MapChunks), each
+// CRCing its bytes and comparing its share of the key; the part CRCs are
+// folded in order with crc32Combine, so the result is the serial one.
+// corrupt reports whether the failure was CRC/framing (as opposed to a
+// benign hash collision).
+func verifyEntryChunked[K string | []byte](f *os.File, loc entryLoc, id byte, key K) (ok, corrupt bool) {
 	var hdr [recordHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], loc.off); err != nil {
 		return false, true
@@ -860,39 +957,64 @@ func verifyEntryChunked(f *os.File, loc entryLoc, id byte, key string) (ok, corr
 		binary.LittleEndian.Uint32(hdr[8:12]) != loc.bodyLen {
 		return false, true
 	}
-	const chunk = 64 << 10
-	buf := make([]byte, chunk)
+	keyLen := int64(loc.keyLen)
+	checkKey := keyLen == 1+int64(len(key))
+	total := keyLen + int64(loc.bodyLen)
+	parts := parallel.MapChunks(0, int(total), verifyPartBytes, func(lo, hi int) verifyPart {
+		return verifyRange(f, loc.off+recordHeaderSize, int64(lo), int64(hi), keyLen, checkKey, id, key)
+	})
 	var crc uint32
-	keyMatches := int64(loc.keyLen) == 1+int64(len(key))
-	total := int64(loc.keyLen) + int64(loc.bodyLen)
-	for done := int64(0); done < total; {
-		n := total - done
-		if n > chunk {
-			n = chunk
-		}
-		if _, err := f.ReadAt(buf[:n], loc.off+recordHeaderSize+done); err != nil {
+	keyMatches := checkKey
+	for _, p := range parts {
+		if p.readErr {
 			return false, true
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
-		if keyMatches && done < int64(loc.keyLen) {
-			// Stored key byte i is the id for i = 0, else key[i-1].
-			stored := buf[:min(int64(loc.keyLen)-done, n)]
-			from := done
-			if from == 0 {
-				keyMatches = stored[0] == id
-				stored, from = stored[1:], 1
-			}
-			if keyMatches && string(stored) != key[from-1:from-1+int64(len(stored))] {
-				keyMatches = false
-			}
-		}
-		done += n
+		crc = crc32Combine(crc, p.crc, p.n)
+		keyMatches = keyMatches && p.keyOK
 	}
 	crc = crc32.Update(crc, crc32.IEEETable, hdr[4:12])
 	if crc != binary.LittleEndian.Uint32(hdr[0:4]) {
 		return false, true
 	}
 	return keyMatches, false
+}
+
+// verifyPart is one part's share of the pre-verify.
+type verifyPart struct {
+	n       int64  // bytes covered
+	crc     uint32 // their CRC-32, unconditioned by what precedes them
+	keyOK   bool   // the stored key bytes among them match
+	readErr bool
+}
+
+// verifyRange CRCs the record bytes [lo, hi) after the header (base is the
+// file offset of byte 0, the stored key's id byte) and, when checkKey,
+// compares those of them that belong to the stored key (keyLen bytes: the
+// id, then key).
+func verifyRange[K string | []byte](f *os.File, base, lo, hi, keyLen int64, checkKey bool, id byte, key K) verifyPart {
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	buf := *bp
+	p := verifyPart{n: hi - lo, keyOK: true}
+	for at := lo; at < hi; {
+		n := min(int64(len(buf)), hi-at)
+		if _, err := f.ReadAt(buf[:n], base+at); err != nil {
+			p.readErr = true
+			return p
+		}
+		p.crc = crc32.Update(p.crc, crc32.IEEETable, buf[:n])
+		if checkKey && p.keyOK && at < keyLen {
+			// Stored key byte i is the id for i = 0, else key[i-1].
+			stored, from := buf[:min(keyLen-at, n)], at
+			if from == 0 {
+				p.keyOK = stored[0] == id
+				stored, from = stored[1:], 1
+			}
+			p.keyOK = p.keyOK && string(stored) == string(key[from-1:from-1+int64(len(stored))])
+		}
+		at += n
+	}
+	return p
 }
 
 // Appender streams one record into its own private segment, committing
@@ -916,7 +1038,13 @@ type Appender struct {
 // retired bytes awaiting unlink are past their bound (counted in
 // Stats.Refused): a stream tee runs on a request path, so it is refused
 // rather than made to wait for the reaper.
-func (l Layer) Begin(key string) *Appender {
+func (l Layer) Begin(key string) *Appender { return begin(l, key) }
+
+// BeginBytes is Begin for a []byte key, which it copies into the record
+// head and does not keep: the caller may reuse it once this returns.
+func (l Layer) BeginBytes(key []byte) *Appender { return begin(l, key) }
+
+func begin[K string | []byte](l Layer, key K) *Appender {
 	st := l.st
 	if 1+int64(len(key)) > maxFieldLen {
 		return nil
