@@ -7,12 +7,13 @@
 //	curl -X POST localhost:8080/v1/schedule -d '{"profile":[1,0.5],"lifespan":3600}'
 //	curl 'localhost:8080/v1/statz'
 //
-// The server is hardened for unattended operation: header/read/write/idle
-// timeouts bound slow or stuck clients; a bounded admission queue
-// (-max-concurrent, -queue-depth) sheds overload with 429 + Retry-After;
-// every request carries a -request-timeout context deadline; handler panics
-// become JSON 500s; and SIGINT/SIGTERM trigger a graceful drain before
-// exit.
+// The server is hardened for unattended operation: a bounded admission
+// queue (-max-concurrent, -queue-depth) sheds overload with 429 +
+// Retry-After; every request carries a -request-timeout context deadline,
+// and the same budget bounds how long a client may take to send a request
+// or receive its response (see httpServer), so a slow or stuck client
+// cannot hold a connection; handler panics become JSON 500s; and
+// SIGINT/SIGTERM trigger a graceful drain before exit.
 //
 // -coalesce enables the cross-request admission batcher for /v1/measure:
 // concurrent cache misses for *distinct* keys are merged into shared flushes
@@ -27,19 +28,17 @@
 // -spill-bytes bounding total disk use (whole segments retire in
 // second-chance order: a segment read since it last came round is spared
 // once; a background reaper unlinks retired files) and -spill-index-bytes
-// bounding the in-memory index. Streamed /v1/batch responses are served
-// straight from the segment reader in O(fragment) memory. Off by default;
-// off, the read path is byte-for-byte the historical one.
+// bounding the in-memory index. A streamed /v1/batch spill hit is verified
+// whole, then its body is copied from the segment file to the socket
+// without passing through the heap. Off by default; off, the read path is
+// byte-for-byte the historical one.
 //
 // -spill-write-through (with -spill-dir) turns the spill tier into a
 // durability layer for restarts: memory-tier inserts are offered to the
 // spill queue at admission time, not only on eviction, and shutdown adds a
 // bounded best-effort flush of still-resident entries — so a warm restart
 // re-serves the working set from segment recovery with zero
-// re-evaluations. -spill-compact-rate caps compaction rewrite bandwidth in
-// bytes/sec (0 = default 32 MiB/s, negative = unlimited) so the
-// write-through firehose can't make background compaction starve the
-// foreground writer.
+// re-evaluations.
 //
 // For profiling in production, -pprof-addr exposes net/http/pprof on a
 // separate listener (off by default; bind it to localhost or a management
@@ -88,14 +87,10 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 	cacheBytes := fs.Int64("cache-bytes", api.DefaultCacheBytes, "byte budget per response cache, counting key+body per entry (0 = unlimited)")
 	maxBody := fs.Int("max-body", api.DefaultMaxBody, "byte cap on any POST request body")
 	streamBatchThreshold := fs.Int("stream-batch-threshold", 0, "work-units estimate (total ρ-values per batch) past which /v1/batch responses stream instead of buffering (0 = default, negative disables streaming)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
-	writeTimeout := fs.Duration("write-timeout", 30*time.Second, "http.Server WriteTimeout")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain deadline after SIGINT/SIGTERM")
 	maxConcurrent := fs.Int("max-concurrent", api.DefaultMaxConcurrent, "bound on simultaneously executing requests")
 	queueDepth := fs.Int("queue-depth", api.DefaultQueueDepth, "admission queue beyond -max-concurrent; arrivals past it are shed with 429")
-	requestTimeout := fs.Duration("request-timeout", api.DefaultRequestTimeout, "per-request context deadline (negative disables)")
+	requestTimeout := fs.Duration("request-timeout", api.DefaultRequestTimeout, "per-request budget: the context deadline, and the time a client may take to send a request or receive its response (negative disables the deadline; the read and write bounds then take the default)")
 	coalesce := fs.Bool("coalesce", false, "batch concurrent /v1/measure cache misses for distinct keys into shared evaluations (off: byte-for-byte historical behavior)")
 	coalesceMax := fs.Int("coalesce-max", api.DefaultCoalesceMaxBatch, "seal a coalesced flush at this many items (with -coalesce)")
 	coalesceWait := fs.Duration("coalesce-wait", api.DefaultCoalesceMaxWait, "seal a coalesced flush when its oldest item has waited this long (with -coalesce)")
@@ -103,7 +98,6 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 	spillBytes := fs.Int64("spill-bytes", spill.DefaultMaxBytes, "byte budget for spill segment files on disk; whole segments retire past it, those read since their last turn spared once (with -spill-dir)")
 	spillIndexBytes := fs.Int64("spill-index-bytes", spill.DefaultMaxIndexBytes, "byte budget for the in-memory spill index (with -spill-dir)")
 	spillWriteThrough := fs.Bool("spill-write-through", false, "offer memory-tier inserts to the spill tier at admission time and flush resident entries on shutdown, so a warm restart serves the working set without re-evaluation (with -spill-dir)")
-	spillCompactRate := fs.Int64("spill-compact-rate", 0, "spill compaction rewrite budget in bytes/sec; 0 = default, negative = unlimited (with -spill-dir)")
 	peers := fs.String("peers", "", "comma-separated fleet membership, host:port per replica (every replica gets the identical list); empty disables the peer cache tier")
 	self := fs.String("self", "", "this replica's own address within -peers (required with -peers)")
 	peerHedgeDelay := fs.Duration("peer-hedge-delay", cluster.DefaultHedgeDelay, "delay before the hedged second peer request (0 = default, negative disables hedging)")
@@ -119,6 +113,7 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 	if err != nil {
 		return err
 	}
+	srv := httpServer(*requestTimeout)
 	if *pprofAddr != "" {
 		pln, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
@@ -127,7 +122,7 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 		}
 		pprofSrv := &http.Server{
 			Handler:           pprofHandler(),
-			ReadHeaderTimeout: *readHeaderTimeout,
+			ReadHeaderTimeout: srv.ReadHeaderTimeout,
 		}
 		go func() {
 			if err := pprofSrv.Serve(pln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -150,18 +145,17 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 	apiSrv.StreamBatchThreshold = *streamBatchThreshold
 	if *spillDir != "" {
 		st, err := spill.Open(spill.Config{
-			Dir:                *spillDir,
-			MaxBytes:           *spillBytes,
-			MaxIndexBytes:      *spillIndexBytes,
-			CompactBytesPerSec: *spillCompactRate,
+			Dir:           *spillDir,
+			MaxBytes:      *spillBytes,
+			MaxIndexBytes: *spillIndexBytes,
 		})
 		if err != nil {
 			ln.Close()
 			return fmt.Errorf("opening spill tier: %w", err)
 		}
 		apiSrv.EnableSpillOptions(st, api.SpillOptions{WriteThrough: *spillWriteThrough})
-		log.Printf("heterod spill tier: dir=%s bytes=%d index-bytes=%d write-through=%v compact-rate=%d",
-			*spillDir, *spillBytes, *spillIndexBytes, *spillWriteThrough, *spillCompactRate)
+		log.Printf("heterod spill tier: dir=%s bytes=%d index-bytes=%d write-through=%v",
+			*spillDir, *spillBytes, *spillIndexBytes, *spillWriteThrough)
 	}
 	if tier != nil {
 		apiSrv.EnableCluster(tier)
@@ -179,13 +173,7 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 			MaxWait:  *coalesceWait,
 		})
 	}
-	srv := &http.Server{
-		Handler:           apiSrv.Handler(),
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
+	srv.Handler = apiSrv.Handler()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Drain order: the batcher first (in-flight handlers may be waiting on
@@ -195,6 +183,31 @@ func runFlags(fs *flag.FlagSet, args []string) error {
 		apiSrv.CloseCoalesce()
 		apiSrv.CloseSpill()
 	})
+}
+
+// The http.Server bounds that do not scale with the request budget.
+const (
+	maxReadHeaderTimeout = 5 * time.Second
+	idleTimeout          = 2 * time.Minute
+)
+
+// httpServer returns the serving http.Server, Handler unset, with its
+// timeouts derived from the per-request budget (-request-timeout): reading
+// a request and writing its response may each take the budget, reading
+// the headers at most 5 s of it, and a keep-alive connection may idle for
+// 2 min. A disabled (negative) or zero budget derives from
+// api.DefaultRequestTimeout, so a client can never hold a connection
+// unbounded.
+func httpServer(budget time.Duration) *http.Server {
+	if budget <= 0 {
+		budget = api.DefaultRequestTimeout
+	}
+	return &http.Server{
+		ReadHeaderTimeout: min(maxReadHeaderTimeout, budget),
+		ReadTimeout:       budget,
+		WriteTimeout:      budget,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildClusterTier validates and builds the peer cache tier from the fleet

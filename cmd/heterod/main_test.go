@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -278,27 +279,140 @@ func TestRunRejectsBadAddr(t *testing.T) {
 	}
 }
 
-// TestFlagSet pins heterod's exact flag list, so a new knob (or a removed
-// one) takes a deliberate edit here.
-func TestFlagSet(t *testing.T) {
+// flagNames lists heterod's flags in sorted order.
+func flagNames(t *testing.T) []string {
+	t.Helper()
 	fs := flag.NewFlagSet("heterod", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	if err := runFlags(fs, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: %v, want flag.ErrHelp", err)
 	}
-	var got []string
-	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
+}
+
+// TestFlagSet pins heterod's exact flag list, so a new knob (or a removed
+// one) takes a deliberate edit here.
+func TestFlagSet(t *testing.T) {
+	got := flagNames(t)
 	want := []string{
 		"addr", "cache-bytes", "cache-size", "coalesce", "coalesce-max",
-		"coalesce-wait", "grace", "idle-timeout", "max-body", "max-concurrent",
+		"coalesce-wait", "grace", "max-body", "max-concurrent",
 		"peer-hedge-delay", "peer-timeout", "peers", "pprof-addr", "queue-depth",
-		"read-header-timeout", "read-timeout", "request-timeout", "self",
-		"spill-bytes", "spill-compact-rate", "spill-dir", "spill-index-bytes",
-		"spill-write-through", "stream-batch-threshold", "write-timeout",
+		"request-timeout", "self", "spill-bytes", "spill-dir", "spill-index-bytes",
+		"spill-write-through", "stream-batch-threshold",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("heterod flags (%d):\n  %s\nwant (%d):\n  %s",
 			len(got), strings.Join(got, " "), len(want), strings.Join(want, " "))
+	}
+}
+
+// TestREADMEFlagTable holds README's heterod flag table to the FlagSet, so
+// a flag cannot be added without its row or deleted leaving one behind.
+func TestREADMEFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	inTable := false
+	for _, line := range strings.Split(string(readme), "\n") {
+		if line == "| flag | default | meaning |" {
+			inTable = true
+			continue
+		}
+		if !inTable {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if cell, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ := strings.Cut(cell, "`")
+			rows = append(rows, name)
+		}
+	}
+	sort.Strings(rows)
+	if got, want := strings.Join(rows, " "), strings.Join(flagNames(t), " "); got != want {
+		t.Fatalf("README flag table rows:\n  %s\nheterod flags:\n  %s", got, want)
+	}
+}
+
+func TestHTTPServerTimeouts(t *testing.T) {
+	for _, tc := range []struct {
+		budget                        time.Duration
+		readHeader, read, write, idle time.Duration
+	}{
+		{api.DefaultRequestTimeout, 5 * time.Second, 30 * time.Second, 30 * time.Second, 2 * time.Minute},
+		{2 * time.Minute, 5 * time.Second, 2 * time.Minute, 2 * time.Minute, 2 * time.Minute},
+		{time.Second, time.Second, time.Second, time.Second, 2 * time.Minute},
+		{-time.Nanosecond, 5 * time.Second, api.DefaultRequestTimeout, api.DefaultRequestTimeout, 2 * time.Minute},
+	} {
+		srv := httpServer(tc.budget)
+		got := []time.Duration{srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout}
+		want := []time.Duration{tc.readHeader, tc.read, tc.write, tc.idle}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("budget %v: header/read/write/idle = %v, want %v", tc.budget, got, want)
+		}
+	}
+}
+
+// TestSlowBodyCutOffAtBudget drips a request body one byte per 100 ms at a
+// server with a 300 ms budget: the read timeout the budget sets must cut
+// the client off, where a whole body would take 100 s.
+func TestSlowBodyCutOffAtBudget(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apiSrv := api.NewServer()
+	apiSrv.Serving = api.ServingConfig{RequestTimeout: budget}
+	srv := httpServer(budget)
+	srv.Handler = apiSrv.Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, srv, time.Second, nil) }()
+	defer func() { cancel(); <-done }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const bodyLen = 1000
+	start := time.Now()
+	if _, err := fmt.Fprintf(conn, "POST /v1/batch HTTP/1.1\r\nHost: heterod\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", bodyLen); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for i := 0; i < bodyLen; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if _, err := conn.Write([]byte(" ")); err != nil {
+				return
+			}
+		}
+	}()
+	// The server answers and closes, or just closes: either ends the copy.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v with a %v budget", elapsed, budget)
+	}
+	if limit := budget + time.Second; elapsed > limit {
+		t.Fatalf("slow body cut off after %v, want within %v", elapsed, limit)
 	}
 }
 

@@ -542,20 +542,6 @@ func (c *responseCache) counters() cacheCounters {
 	return out
 }
 
-// Stats reports the cache counters and current occupancy, summed over
-// shards.
-func (c *responseCache) Stats() (hits, misses uint64, size, capacity int) {
-	ct := c.counters()
-	return ct.hits, ct.misses, ct.size, c.capacity
-}
-
-// statsFull is Stats plus the sharding-era counters — the historical tuple
-// shape several tests consume.
-func (c *responseCache) statsFull() (hits, misses uint64, size int, coalesced, evicted uint64) {
-	ct := c.counters()
-	return ct.hits, ct.misses, ct.size, ct.coalesced, ct.evicted
-}
-
 // setSinks installs evict as the eviction sink and insert (nil for none) as
 // the write-through admission sink on every shard. Both run under a shard
 // lock: they must be non-blocking (the spill tier hands off to a bounded

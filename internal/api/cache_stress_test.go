@@ -71,19 +71,19 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 			t.Errorf("key %d evaluated %d times, want exactly 1", k, n)
 		}
 	}
-	hits, misses, size, coalesced, evicted := c.statsFull()
-	if misses != keys {
-		t.Errorf("misses = %d, want %d (one per distinct key)", misses, keys)
+	ct := c.counters()
+	if ct.misses != keys {
+		t.Errorf("misses = %d, want %d (one per distinct key)", ct.misses, keys)
 	}
-	if evicted != 0 {
-		t.Errorf("evicted = %d, want 0", evicted)
+	if ct.evicted != 0 {
+		t.Errorf("evicted = %d, want 0", ct.evicted)
 	}
-	if size != keys {
-		t.Errorf("size = %d, want %d", size, keys)
+	if ct.size != keys {
+		t.Errorf("size = %d, want %d", ct.size, keys)
 	}
-	if total := hits + misses + coalesced; total != goroutines*iters {
+	if total := ct.hits + ct.misses + ct.coalesced; total != goroutines*iters {
 		t.Errorf("hits(%d)+misses(%d)+coalesced(%d) = %d, want %d requests",
-			hits, misses, coalesced, total, goroutines*iters)
+			ct.hits, ct.misses, ct.coalesced, total, goroutines*iters)
 	}
 }
 
@@ -162,13 +162,13 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	hits, misses, size, coalesced, _ := c.statsFull()
-	if size > capacity {
-		t.Fatalf("cache overflowed its global bound: size %d > capacity %d", size, capacity)
+	ct := c.counters()
+	if ct.size > capacity {
+		t.Fatalf("cache overflowed its global bound: size %d > capacity %d", ct.size, capacity)
 	}
-	if total := hits + misses + coalesced; total != requests.Load() {
+	if total := ct.hits + ct.misses + ct.coalesced; total != requests.Load() {
 		t.Fatalf("counters %d+%d+%d do not reconcile with %d requests",
-			hits, misses, coalesced, requests.Load())
+			ct.hits, ct.misses, ct.coalesced, requests.Load())
 	}
 	// Per-shard bounds, not just the global sum.
 	for i := range c.shards {
@@ -273,16 +273,15 @@ func TestRawLayerCoalescesLargeQueryHerd(t *testing.T) {
 			t.Fatalf("goroutine %d received different bytes", g)
 		}
 	}
-	_, canonMisses, _, _, _ := s.cache.statsFull()
-	if canonMisses != 1 {
-		t.Fatalf("canonical misses = %d, want exactly 1 evaluation for the herd", canonMisses)
+	if canon := s.cache.counters(); canon.misses != 1 {
+		t.Fatalf("canonical misses = %d, want exactly 1 evaluation for the herd", canon.misses)
 	}
-	rawHits, rawMisses, _, rawCoalesced, _ := s.rawCache.statsFull()
-	if rawMisses != 1 {
-		t.Fatalf("raw misses = %d, want 1", rawMisses)
+	raw := s.rawCache.counters()
+	if raw.misses != 1 {
+		t.Fatalf("raw misses = %d, want 1", raw.misses)
 	}
-	if rawHits+rawCoalesced != herd-1 {
+	if raw.hits+raw.coalesced != herd-1 {
 		t.Fatalf("raw hits(%d)+coalesced(%d) = %d, want %d",
-			rawHits, rawCoalesced, rawHits+rawCoalesced, herd-1)
+			raw.hits, raw.coalesced, raw.hits+raw.coalesced, herd-1)
 	}
 }

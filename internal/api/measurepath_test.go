@@ -293,8 +293,7 @@ func TestRawLayerLargeQueryHitZeroAlloc(t *testing.T) {
 	}
 	// The repeats must have resolved at the raw layer, not re-parsed into
 	// canonical hits.
-	rawHits, _, _, _, _ := s.rawCache.statsFull()
-	if rawHits == 0 {
+	if s.rawCache.counters().hits == 0 {
 		t.Error("no raw-layer hits recorded; large query did not take the fast path")
 	}
 }
@@ -317,8 +316,7 @@ func TestRawLayerSpellingsUnifyAtCanonicalLayer(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatal("two spellings of one cluster served different bytes")
 	}
-	_, misses, _, _, _ := s.cache.statsFull()
-	if misses != 1 {
+	if misses := s.cache.counters().misses; misses != 1 {
 		t.Fatalf("canonical misses = %d, want 1 (second spelling must unify)", misses)
 	}
 }
@@ -336,7 +334,7 @@ func TestRawLayerDoesNotCacheErrors(t *testing.T) {
 			t.Fatalf("attempt %d: status %d, want 400", i, status)
 		}
 	}
-	if _, _, size, _, _ := s.rawCache.statsFull(); size != 0 {
+	if size := s.rawCache.counters().size; size != 0 {
 		t.Fatalf("raw layer cached %d entries for an erroring query", size)
 	}
 }

@@ -215,12 +215,12 @@ func TestMeasureCacheEviction(t *testing.T) {
 			t.Fatalf("status %d for %s", code, u)
 		}
 	}
-	hits, misses, size, capacity := s.cache.Stats()
-	if capacity != 2 || size != 2 {
-		t.Fatalf("size %d / capacity %d, want 2/2", size, capacity)
+	ct := s.cache.counters()
+	if s.cache.capacity != 2 || ct.size != 2 {
+		t.Fatalf("size %d / capacity %d, want 2/2", ct.size, s.cache.capacity)
 	}
-	if hits != 0 || misses != 3 {
-		t.Fatalf("hits %d misses %d, want 0/3", hits, misses)
+	if ct.hits != 0 || ct.misses != 3 {
+		t.Fatalf("hits %d misses %d, want 0/3", ct.hits, ct.misses)
 	}
 	// The first URL was evicted; re-fetching must miss yet still be correct.
 	code, body := getBody(t, urls[0])
@@ -230,8 +230,8 @@ func TestMeasureCacheEviction(t *testing.T) {
 	if !strings.Contains(string(body), `"x"`) {
 		t.Fatalf("evicted re-fetch body %q", body)
 	}
-	if h, m, _, _ := s.cache.Stats(); h != 0 || m != 4 {
-		t.Fatalf("hits %d misses %d after evicted re-fetch, want 0/4", h, m)
+	if ct := s.cache.counters(); ct.hits != 0 || ct.misses != 4 {
+		t.Fatalf("hits %d misses %d after evicted re-fetch, want 0/4", ct.hits, ct.misses)
 	}
 }
 
@@ -243,8 +243,8 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatalf("status %d", code)
 		}
 	}
-	if hits, _, size, _ := s.cache.Stats(); hits != 0 || size != 0 {
-		t.Fatalf("disabled cache recorded hits=%d size=%d", hits, size)
+	if ct := s.cache.counters(); ct.hits != 0 || ct.size != 0 {
+		t.Fatalf("disabled cache recorded hits=%d size=%d", ct.hits, ct.size)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestResponseCacheConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, _, size, _ := c.Stats(); size > 8 {
+	if size := c.counters().size; size > 8 {
 		t.Fatalf("cache overflowed its bound: size %d", size)
 	}
 }

@@ -269,16 +269,12 @@ type SpillStats struct {
 	Rejected         uint64 `json:"rejected"`       // entries over the whole disk budget
 	Corrupt          uint64 `json:"corrupt"`        // CRC failures read as misses
 	RetiredSegments  uint64 `json:"retired_segments"`
-	Compactions      uint64 `json:"compactions"`
-	CompactDeferred  uint64 `json:"compact_deferred"`   // kicks coalesced behind an in-progress pass
-	CompactThrottles uint64 `json:"compact_throttles"`  // rate-budget sleeps in the compactor
-	CompactedBytes   uint64 `json:"compacted_bytes"`    // live bytes rewritten by compaction
 	RefusedWrites    uint64 `json:"refused_writes"`     // stream tees and request-path puts refused past the unlink bound
 	ReapBacklogBytes int64  `json:"reap_backlog_bytes"` // retired segment bytes still waiting to be unlinked
 	Segments         int    `json:"segments"`
 	Entries          int    `json:"entries"`
 	Bytes            int64  `json:"bytes"`
-	DeadBytes        int64  `json:"dead_bytes"`
+	DeadBytes        int64  `json:"dead_bytes"` // rewritten, colliding or corrupt records left until their segment retires
 	MaxBytes         int64  `json:"max_bytes"`
 	IndexBytes       int64  `json:"index_bytes"`
 	MaxIndexBytes    int64  `json:"max_index_bytes"`
@@ -307,10 +303,6 @@ func (s *Server) spillStats() SpillStats {
 		Rejected:         st.Rejected,
 		Corrupt:          st.Corrupt,
 		RetiredSegments:  st.RetiredSegments,
-		Compactions:      st.Compactions,
-		CompactDeferred:  st.CompactDeferred,
-		CompactThrottles: st.CompactThrottles,
-		CompactedBytes:   st.CompactedBytes,
 		RefusedWrites:    st.Refused,
 		ReapBacklogBytes: st.ReapBytes,
 		Segments:         st.Segments,

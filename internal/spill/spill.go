@@ -15,10 +15,13 @@
 //     computed over key ++ body ++ keyLen ++ bodyLen — key/body first so
 //     a streaming writer can accumulate it before the lengths are known.
 //   - The in-memory index maps a sampled 64-bit key hash to
-//     (segment, offset, lengths). Hash collisions are resolved on read:
-//     every record stores its full key and a lookup compares it byte
-//     for byte, so a collision is at worst a miss, never a wrong body.
-//     (The serving tiers above already rely on key→body determinism.)
+//     (segment, offset, lengths, CRC of the stored key). Hash collisions
+//     are resolved on read: every record stores its full key and a lookup
+//     compares it byte for byte, so a collision is at worst a miss, never
+//     a wrong body. A write of a colliding key takes the older key's
+//     index slot. Put skips the write when a live record of the same key
+//     (same lengths and key CRC) is indexed: the serving tiers above rely
+//     on key→body determinism.
 //   - Both budgets — MaxBytes of disk and MaxIndexBytes of index — are
 //     enforced by retiring whole segments in second-chance (CLOCK) order:
 //     a read hit sets its segment's referenced bit, and a front segment
@@ -33,10 +36,9 @@
 //     the bound a stream tee's Begin and a TryPut are refused (counted),
 //     while Put waits, so the directory holds at most MaxBytes plus the
 //     bound plus the records being written.
-//   - Overwrites and retired readers leave dead bytes behind; a
-//     background goroutine compacts any sealed segment whose dead
-//     fraction reaches CompactFraction by re-appending its live records
-//     to the active segment and retiring it.
+//   - A record whose index slot another record took (a rewrite of its
+//     key, a colliding key) or whose CRC failed is dead. Its bytes still
+//     count against MaxBytes and leave with their segment when it retires.
 //   - Open scans existing segments record by record, truncates at the
 //     first torn or CRC-invalid record (crash mid-append), and rebuilds
 //     the index with later records winning.
@@ -56,7 +58,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hetero/internal/parallel"
 )
@@ -64,8 +65,8 @@ import (
 const (
 	recordHeaderSize = 12
 
-	// DefaultSegmentBytes seals the shared append segment once it
-	// crosses this size, making it eligible for retirement/compaction.
+	// DefaultSegmentBytes rolls the shared append segment once it
+	// crosses this size.
 	DefaultSegmentBytes = 4 << 20
 
 	// DefaultMaxBytes bounds total segment bytes on disk.
@@ -73,19 +74,6 @@ const (
 
 	// DefaultMaxIndexBytes bounds the in-memory index footprint.
 	DefaultMaxIndexBytes = 16 << 20
-
-	// DefaultCompactFraction is the dead-byte fraction at which a
-	// sealed segment is compacted.
-	DefaultCompactFraction = 0.5
-
-	// DefaultCompactBytesPerSec caps how fast background compaction may
-	// rewrite live bytes. Write-through mode turns every cache insert
-	// into a store write, so dead bytes accrue as fast as the serving
-	// path overwrites entries; without a budget the 50%-dead trigger
-	// makes the compactor contend with the write firehose for the store
-	// lock. 32 MiB/s clears a default segment in ~125 ms while leaving
-	// the lock mostly free for foreground puts.
-	DefaultCompactBytesPerSec = 32 << 20
 
 	// indexEntryCost is the accounted in-memory cost of one index
 	// entry (map bucket share + entryLoc + per-segment hash slot).
@@ -115,13 +103,6 @@ type Config struct {
 	MaxIndexBytes int64
 	// SegmentBytes is the roll size for the shared append segment.
 	SegmentBytes int64
-	// CompactFraction is the dead fraction that triggers compaction
-	// of a sealed segment.
-	CompactFraction float64
-	// CompactBytesPerSec caps how many live bytes per second background
-	// compaction may rewrite (a token bucket with one segment of burst).
-	// 0 takes DefaultCompactBytesPerSec; negative disables the cap.
-	CompactBytesPerSec int64
 }
 
 func (c *Config) withDefaults() Config {
@@ -135,12 +116,6 @@ func (c *Config) withDefaults() Config {
 	if out.SegmentBytes <= 0 {
 		out.SegmentBytes = DefaultSegmentBytes
 	}
-	if out.CompactFraction <= 0 || out.CompactFraction > 1 {
-		out.CompactFraction = DefaultCompactFraction
-	}
-	if out.CompactBytesPerSec == 0 {
-		out.CompactBytesPerSec = DefaultCompactBytesPerSec
-	}
 	return out
 }
 
@@ -152,30 +127,19 @@ type Stats struct {
 	Rejected        uint64
 	Corrupt         uint64
 	RetiredSegments uint64
-	Compactions     uint64
-	// CompactDeferred counts compaction kicks that arrived while one was
-	// already pending or running — the in-progress backpressure signal a
-	// sustained write-through load produces.
-	CompactDeferred uint64
-	// CompactThrottles counts rate-limit sleeps the compactor took to
-	// stay under CompactBytesPerSec.
-	CompactThrottles uint64
-	// CompactedBytes is the total live bytes compaction has rewritten.
-	CompactedBytes uint64
 	// Refused counts request-path writes (a stream tee's Begin, a TryPut)
 	// refused while ReapBytes was past its bound.
 	Refused uint64
 	// ReapBytes is the size of the retired files the reaper has yet to
 	// unlink.
-	ReapBytes          int64
-	CompactBytesPerSec int64
-	Segments           int
-	Entries            int
-	DiskBytes          int64
-	DeadBytes          int64
-	IndexBytes         int64
-	MaxBytes           int64
-	MaxIndexBytes      int64
+	ReapBytes     int64
+	Segments      int
+	Entries       int
+	DiskBytes     int64
+	DeadBytes     int64
+	IndexBytes    int64
+	MaxBytes      int64
+	MaxIndexBytes int64
 }
 
 type entryLoc struct {
@@ -183,6 +147,9 @@ type entryLoc struct {
 	off     int64
 	keyLen  uint32
 	bodyLen uint32
+	// keyCRC is the CRC-32 of the stored key (id ++ key), the prefix of the
+	// record CRC: Put dedupes only against a record whose key it matches.
+	keyCRC uint32
 }
 
 func (l entryLoc) recordLen() int64 {
@@ -190,13 +157,12 @@ func (l entryLoc) recordLen() int64 {
 }
 
 type segment struct {
-	seq    uint64
-	path   string
-	f      *os.File
-	size   int64
-	dead   int64
-	live   int
-	sealed bool
+	seq  uint64
+	path string
+	f    *os.File
+	size int64
+	dead int64
+	live int
 	// hashes remembers which index slots this segment ever owned so
 	// retirement can drop them without a full index sweep.
 	hashes []uint64
@@ -228,19 +194,12 @@ type Store struct {
 	diskBytes int64
 	closed    bool
 
-	hits             atomic.Uint64
-	misses           atomic.Uint64
-	writes           atomic.Uint64
-	rejected         atomic.Uint64
-	corrupt          atomic.Uint64
-	retired          atomic.Uint64
-	compactions      atomic.Uint64
-	compactDeferred  atomic.Uint64
-	compactThrottles atomic.Uint64
-	compactedBytes   atomic.Uint64
-
-	compactReq  chan struct{}
-	compactDone chan struct{}
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	writes   atomic.Uint64
+	rejected atomic.Uint64
+	corrupt  atomic.Uint64
+	retired  atomic.Uint64
 
 	// The reaper: retired files queue in reapQ for the one goroutine that
 	// closes and unlinks them, off st.mu. reapBytes is what they hold on
@@ -269,14 +228,12 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
 	st := &Store{
-		cfg:         cfg,
-		segs:        make(map[uint64]*segment),
-		index:       make(map[uint64]entryLoc),
-		compactReq:  make(chan struct{}, 1),
-		compactDone: make(chan struct{}),
-		reapMax:     cfg.MaxBytes / reapShare,
-		reaping:     true,
-		reapDone:    make(chan struct{}),
+		cfg:      cfg,
+		segs:     make(map[uint64]*segment),
+		index:    make(map[uint64]entryLoc),
+		reapMax:  cfg.MaxBytes / reapShare,
+		reaping:  true,
+		reapDone: make(chan struct{}),
 	}
 	st.reapCond = sync.NewCond(&st.mu)
 	// The reaper runs before recovery, whose budget enforcement retires
@@ -287,7 +244,6 @@ func Open(cfg Config) (*Store, error) {
 		st.closeFiles()
 		return nil, err
 	}
-	go st.compactLoop()
 	return st, nil
 }
 
@@ -327,10 +283,10 @@ func (st *Store) recover() error {
 			f.Close()
 			return fmt.Errorf("spill: %w", err)
 		}
-		seg := &segment{seq: seq, path: path, f: f, sealed: true}
+		seg := &segment{seq: seq, path: path, f: f}
 		validEnd, torn := ScanRecords(f, fi.Size(), func(off int64, keyLen, bodyLen uint32, key []byte) {
 			h := hashKey(key[0], key[1:])
-			loc := entryLoc{seq: seq, off: off, keyLen: keyLen, bodyLen: bodyLen}
+			loc := entryLoc{seq: seq, off: off, keyLen: keyLen, bodyLen: bodyLen, keyCRC: crc32.ChecksumIEEE(key)}
 			if old, ok := st.index[h]; ok {
 				st.markDeadLocked(old)
 			}
@@ -488,9 +444,9 @@ func (st *Store) Begin(key string) *Appender {
 // While the retired bytes awaiting unlink are past their bound it waits
 // for the reaper, so it is for background writers (the evict writer, the
 // shutdown flush); a request path uses TryPut.
-// The return value reports whether the entry is durably stored (an
-// identical-length live entry counts: deterministic keys make it the
-// same body); false means a rejection or an I/O failure, so callers
+// The return value reports whether the entry is durably stored (a live
+// record of the same key and body length counts: deterministic keys make
+// it the same body); false means a rejection or an I/O failure, so callers
 // that promise durability — the evict writer, the shutdown flush — can
 // count what the store actually dropped.
 func (l Layer) Put(key string, body []byte) bool { return l.put(key, body, true) }
@@ -502,6 +458,7 @@ func (l Layer) TryPut(key string, body []byte) bool { return l.put(key, body, fa
 func (l Layer) put(key string, body []byte, wait bool) bool {
 	st := l.st
 	h := hashKey(l.id, key)
+	kc := keyCRC(l.id, key)
 	keyLen := 1 + int64(len(key))
 	rec := recordHeaderSize + keyLen + int64(len(body))
 	st.mu.Lock()
@@ -516,9 +473,10 @@ func (l Layer) put(key string, body []byte, wait bool) bool {
 		if st.closed {
 			return false
 		}
-		// Deterministic keys mean an identical-length live entry is the
-		// same body; skip the rewrite.
-		if old, ok := st.index[h]; ok && int64(old.keyLen) == keyLen && old.bodyLen == uint32(len(body)) {
+		// Deterministic keys mean a live record of the same key and body
+		// length holds the same body; skip the rewrite. The key CRC tells
+		// the same key from another one under the same sampled hash.
+		if old, ok := st.index[h]; ok && old.keyCRC == kc && int64(old.keyLen) == keyLen && old.bodyLen == uint32(len(body)) {
 			return true
 		}
 		if st.reapBytes <= st.reapMax {
@@ -530,44 +488,59 @@ func (l Layer) put(key string, body []byte, wait bool) bool {
 		}
 		st.reapCond.Wait()
 	}
-	n := st.appendLocked(h, recordHead(l.id, key, body), body)
+	ok := st.appendLocked(h, kc, recordHead(l.id, key, kc, body), body)
 	st.enforceBudgetsLocked()
-	st.kickCompactLocked()
-	return n > 0
+	return ok
+}
+
+// keyCRC is the CRC-32 of the stored key id ++ key, which it copies
+// through a pooled buffer rather than converting key to a new []byte.
+func keyCRC(id byte, key string) uint32 {
+	bp := chunkBufs.Get().(*[]byte)
+	defer chunkBufs.Put(bp)
+	buf := *bp
+	buf[0] = id
+	n := copy(buf[1:], key)
+	crc := crc32.ChecksumIEEE(buf[:1+n])
+	for key = key[n:]; key != ""; key = key[n:] {
+		n = copy(buf, key)
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
+	}
+	return crc
 }
 
 // recordHead frames a record's header and stored key (id ++ key) in one
-// buffer, CRC filled in over the key, the body and the lengths.
-func recordHead(id byte, key string, body []byte) []byte {
+// buffer, CRC filled in over the key (continued from its keyCRC kc), the
+// body and the lengths.
+func recordHead(id byte, key string, kc uint32, body []byte) []byte {
 	head := make([]byte, recordHeaderSize+1+len(key))
 	binary.LittleEndian.PutUint32(head[4:8], uint32(1+len(key)))
 	binary.LittleEndian.PutUint32(head[8:12], uint32(len(body)))
 	head[recordHeaderSize] = id
 	copy(head[recordHeaderSize+1:], key)
-	crc := crc32.ChecksumIEEE(head[recordHeaderSize:])
-	crc = crc32.Update(crc, crc32.IEEETable, body)
+	crc := crc32.Update(kc, crc32.IEEETable, body)
 	crc = crc32.Update(crc, crc32.IEEETable, head[4:12])
 	binary.LittleEndian.PutUint32(head[0:4], crc)
 	return head
 }
 
 // appendLocked appends one framed record — head (header and stored key,
-// as recordHead builds it or as a verified record holds it) then body —
-// and returns its on-disk length, 0 when the write was rejected or failed.
-func (st *Store) appendLocked(h uint64, head, body []byte) int64 {
+// as recordHead builds it) then body — and reports whether it was written;
+// a rejected or failed write is counted.
+func (st *Store) appendLocked(h uint64, kc uint32, head, body []byte) bool {
 	seg, err := st.activeLocked()
 	if err != nil {
 		st.rejected.Add(1)
-		return 0
+		return false
 	}
 	off := seg.size
 	if _, err := seg.f.WriteAt(head, off); err != nil {
 		st.rejected.Add(1)
-		return 0
+		return false
 	}
 	if _, err := seg.f.WriteAt(body, off+int64(len(head))); err != nil {
 		st.rejected.Add(1)
-		return 0
+		return false
 	}
 	keyLen := uint32(len(head) - recordHeaderSize)
 	rec := int64(len(head)) + int64(len(body))
@@ -576,15 +549,14 @@ func (st *Store) appendLocked(h uint64, head, body []byte) int64 {
 	if old, ok := st.index[h]; ok {
 		st.markDeadLocked(old)
 	}
-	st.index[h] = entryLoc{seq: seg.seq, off: off, keyLen: keyLen, bodyLen: uint32(len(body))}
+	st.index[h] = entryLoc{seq: seg.seq, off: off, keyLen: keyLen, bodyLen: uint32(len(body)), keyCRC: kc}
 	seg.hashes = append(seg.hashes, h)
 	seg.live++
 	st.writes.Add(1)
 	if seg.size >= st.cfg.SegmentBytes {
-		seg.sealed = true
 		st.active = nil
 	}
-	return rec
+	return true
 }
 
 func (st *Store) activeLocked() (*segment, error) {
@@ -1027,6 +999,7 @@ type Appender struct {
 	seq    uint64
 	h      uint64
 	keyLen uint32
+	keyCRC uint32
 	size   int64
 	crc    uint32
 	err    error
@@ -1078,7 +1051,8 @@ func begin[K string | []byte](l Layer, key K) *Appender {
 		ap.err = err
 	}
 	ap.size = int64(len(head))
-	ap.crc = crc32.ChecksumIEEE(head[recordHeaderSize:])
+	ap.keyCRC = crc32.ChecksumIEEE(head[recordHeaderSize:])
+	ap.crc = ap.keyCRC
 	return ap
 }
 
@@ -1133,7 +1107,7 @@ func (ap *Appender) Commit() bool {
 	}
 	seg := &segment{
 		seq: ap.seq, path: ap.path, f: ap.f,
-		size: rec, live: 1, sealed: true,
+		size: rec, live: 1,
 		hashes: []uint64{ap.h},
 	}
 	st.segs[ap.seq] = seg
@@ -1142,10 +1116,9 @@ func (ap *Appender) Commit() bool {
 	if old, ok := st.index[ap.h]; ok {
 		st.markDeadLocked(old)
 	}
-	st.index[ap.h] = entryLoc{seq: ap.seq, off: 0, keyLen: ap.keyLen, bodyLen: uint32(bodyLen)}
+	st.index[ap.h] = entryLoc{seq: ap.seq, off: 0, keyLen: ap.keyLen, bodyLen: uint32(bodyLen), keyCRC: ap.keyCRC}
 	st.writes.Add(1)
 	st.enforceBudgetsLocked()
-	st.kickCompactLocked()
 	st.mu.Unlock()
 	return true
 }
@@ -1160,143 +1133,6 @@ func (ap *Appender) Abort() {
 	ap.st.release(ap.f, ap.path, ap.size)
 }
 
-func (st *Store) kickCompactLocked() {
-	if st.closed {
-		return
-	}
-	select {
-	case st.compactReq <- struct{}{}:
-	default:
-		// A kick while one is already pending or running: the compactor
-		// is behind the write load. Counted as backpressure, not queued
-		// — the pending pass re-evaluates every victim anyway.
-		st.compactDeferred.Add(1)
-	}
-}
-
-// compactBudget is the compactor's token bucket over rewritten live
-// bytes: rate bytes/second of sustained rewrite with one segment of
-// burst. Pure arithmetic (the caller supplies the clock and does the
-// sleeping) so the policy is unit-testable without timers.
-type compactBudget struct {
-	rate   int64 // bytes/sec; <= 0 disables the cap
-	burst  int64
-	tokens int64
-	last   time.Time
-}
-
-// grant credits tokens for the time elapsed since the previous call and
-// returns how long the compactor must wait before the next rewrite may
-// start (0 = go now). The first call starts with a full burst.
-func (b *compactBudget) grant(now time.Time) time.Duration {
-	if b.rate <= 0 {
-		return 0
-	}
-	if b.last.IsZero() {
-		b.tokens = b.burst
-	} else {
-		b.tokens += int64(now.Sub(b.last).Seconds() * float64(b.rate))
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens > 0 {
-		return 0
-	}
-	return time.Duration((1 - b.tokens) * int64(time.Second) / b.rate)
-}
-
-// charge debits the bytes one compaction pass actually rewrote.
-func (b *compactBudget) charge(n int64) {
-	if b.rate > 0 {
-		b.tokens -= n
-	}
-}
-
-func (st *Store) isClosed() bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.closed
-}
-
-func (st *Store) compactLoop() {
-	defer close(st.compactDone)
-	budget := &compactBudget{rate: st.cfg.CompactBytesPerSec, burst: st.cfg.SegmentBytes}
-	for range st.compactReq {
-		for {
-			wait := budget.grant(time.Now())
-			if wait <= 0 {
-				break
-			}
-			st.compactThrottles.Add(1)
-			if wait > time.Second {
-				wait = time.Second
-			}
-			time.Sleep(wait)
-			if st.isClosed() {
-				break // compactOnce is a no-op now; don't stall Close
-			}
-		}
-		budget.charge(st.compactOnce())
-	}
-}
-
-// compactOnce rewrites the live records of the worst sealed segment
-// whose dead fraction reaches CompactFraction, then retires it,
-// returning the live bytes rewritten (the quantity the rate budget
-// meters). It runs under the store lock: at most SegmentBytes of
-// sequential I/O. It waits out an unlink backlog past its bound, as Put
-// does, by skipping the pass: a later write kicks it again.
-func (st *Store) compactOnce() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed || st.reapBytes > st.reapMax {
-		return 0
-	}
-	var victim *segment
-	for _, seq := range st.order {
-		seg := st.segs[seq]
-		if seg == st.active || !seg.sealed || seg.size == 0 {
-			continue
-		}
-		if float64(seg.dead)/float64(seg.size) < st.cfg.CompactFraction {
-			continue
-		}
-		if victim == nil || seg.dead > victim.dead {
-			victim = seg
-		}
-	}
-	if victim == nil {
-		return 0
-	}
-	var rewritten int64
-	for _, h := range victim.hashes {
-		loc, ok := st.index[h]
-		if !ok || loc.seq != victim.seq {
-			continue
-		}
-		buf := make([]byte, loc.recordLen())
-		if _, err := victim.f.ReadAt(buf, loc.off); err != nil || !verifyRecordBuf(buf) {
-			st.corrupt.Add(1)
-			delete(st.index, h)
-			st.markDeadLocked(loc)
-			continue
-		}
-		head := recordHeaderSize + int(loc.keyLen)
-		rewritten += st.appendLocked(h, buf[:head], buf[head:])
-	}
-	st.retireLocked(victim.seq)
-	st.compactions.Add(1)
-	st.compactedBytes.Add(uint64(rewritten))
-	st.enforceBudgetsLocked()
-	return rewritten
-}
-
-// CompactNow synchronously runs one compaction pass, bypassing the rate
-// budget (test hook).
-func (st *Store) CompactNow() { st.compactOnce() }
-
 // Stats returns a snapshot of counters and sizes.
 func (st *Store) Stats() Stats {
 	st.mu.RLock()
@@ -1305,15 +1141,14 @@ func (st *Store) Stats() Stats {
 		dead += seg.dead
 	}
 	s := Stats{
-		Segments:           len(st.segs),
-		Entries:            len(st.index),
-		DiskBytes:          st.diskBytes,
-		DeadBytes:          dead,
-		IndexBytes:         st.indexBytesLocked(),
-		MaxBytes:           st.cfg.MaxBytes,
-		MaxIndexBytes:      st.cfg.MaxIndexBytes,
-		CompactBytesPerSec: st.cfg.CompactBytesPerSec,
-		ReapBytes:          st.reapBytes,
+		Segments:      len(st.segs),
+		Entries:       len(st.index),
+		DiskBytes:     st.diskBytes,
+		DeadBytes:     dead,
+		IndexBytes:    st.indexBytesLocked(),
+		MaxBytes:      st.cfg.MaxBytes,
+		MaxIndexBytes: st.cfg.MaxIndexBytes,
+		ReapBytes:     st.reapBytes,
 	}
 	st.mu.RUnlock()
 	s.Hits = st.hits.Load()
@@ -1322,10 +1157,6 @@ func (st *Store) Stats() Stats {
 	s.Rejected = st.rejected.Load()
 	s.Corrupt = st.corrupt.Load()
 	s.RetiredSegments = st.retired.Load()
-	s.Compactions = st.compactions.Load()
-	s.CompactDeferred = st.compactDeferred.Load()
-	s.CompactThrottles = st.compactThrottles.Load()
-	s.CompactedBytes = st.compactedBytes.Load()
 	s.Refused = st.refused.Load()
 	return s
 }
@@ -1344,26 +1175,25 @@ func (st *Store) closeFiles() {
 	}
 }
 
-// Close stops compaction, waits for the reaper to unlink every retired
-// file, and closes all segment files. A Put waiting for the reaper returns
-// false. Data on disk remains valid for a later Open.
+// Close waits for the reaper to unlink every retired file and closes all
+// segment files. A Put waiting for the reaper returns false. Data on disk
+// remains valid for a later Open.
 func (st *Store) Close() error {
 	if !st.stopReaper() {
 		return nil
 	}
-	close(st.compactReq)
-	<-st.compactDone
 	st.closeFiles()
 	return nil
 }
 
-// hashKey hashes the stored key id ++ key without building it. It
-// mirrors the serving tier's sampled FNV-1a: a full hash for stored keys
-// up to hashSampleLimit bytes, head/tail plus strided middle samples for
-// longer ones. Recovery hashes a record's stored key bytes as
-// hashKey(stored[0], stored[1:]), so a key hashes the same whether it was
-// written, read or recovered. Collisions are safe — reads compare the
-// stored key byte for byte.
+// hashKey hashes the stored key id ++ key without building it: FNV-1a
+// over every byte for stored keys up to hashSampleLimit bytes, and over
+// the first and last 256 bytes plus strided middle samples for longer ones
+// (a sample of its own, not the memory caches' hash). Recovery hashes a
+// record's stored key bytes as hashKey(stored[0], stored[1:]), so a key
+// hashes the same whether it was written, read or recovered. Collisions
+// are safe: reads compare the stored key byte for byte, and Put's dedupe
+// also matches the key CRC.
 const (
 	fnvOffset64     = 14695981039346656037
 	fnvPrime64      = 1099511628211

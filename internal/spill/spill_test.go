@@ -67,6 +67,39 @@ func TestOverwriteWins(t *testing.T) {
 	}
 }
 
+// TestCollidingKeyIsWritten puts two keys of equal lengths under one
+// sampled hash: the second must be written and served, not deduped against
+// the first's record.
+func TestCollidingKeyIsWritten(t *testing.T) {
+	st := openTest(t, Config{})
+	l := st.Layer('c')
+	k1 := strings.Repeat("a", 2000)
+	k2 := k1[:256] + "b" + k1[257:] // stored byte 257: skipped by the stride-2 middle sample
+	if hashKey('c', k1) != hashKey('c', k2) {
+		t.Fatal("k1 and k2 no longer collide under hashKey: pick a byte the sample skips")
+	}
+	b1, b2 := bytes.Repeat([]byte("1"), 100), bytes.Repeat([]byte("2"), 100)
+	if !l.Put(k1, b1) {
+		t.Fatal("Put(k1) failed")
+	}
+	if !l.Put(k2, b2) {
+		t.Fatal("Put(k2) failed")
+	}
+	if s := st.Stats(); s.Writes != 2 {
+		t.Fatalf("writes = %d, want 2: Put(k2) was deduped against k1", s.Writes)
+	}
+	if got, ok := l.Get(k2); !ok || !bytes.Equal(got, b2) {
+		t.Fatalf("Get(k2) = %q, %v; want its own body", got, ok)
+	}
+	// k2 took k1's index slot: k1 is a miss, and its record is dead.
+	if _, ok := l.Get(k1); ok {
+		t.Fatal("Get(k1) hit after a colliding Put(k2) took its slot")
+	}
+	if s := st.Stats(); s.DeadBytes == 0 {
+		t.Fatalf("k1's record not counted dead: %+v", s)
+	}
+}
+
 func TestDiskBudgetRetiresWholeSegments(t *testing.T) {
 	st := openTest(t, Config{SegmentBytes: 4 << 10, MaxBytes: 16 << 10})
 	body := bytes.Repeat([]byte("b"), 1024)
@@ -215,44 +248,6 @@ func TestBitFlipReadsAsMiss(t *testing.T) {
 	st.Put("victim", body)
 	if got, ok := st.Get("victim"); !ok || !bytes.Equal(got, body) {
 		t.Fatal("refill after corruption failed")
-	}
-}
-
-func TestCompactionReclaimsDeadBytes(t *testing.T) {
-	st := openTest(t, Config{SegmentBytes: 1 << 20, CompactFraction: 0.3})
-	big := bytes.Repeat([]byte("x"), 4096)
-	for i := 0; i < 32; i++ {
-		st.Put(fmt.Sprintf("key-%d", i), big)
-	}
-	// Overwrite most keys with different-length bodies → dead bytes.
-	small := bytes.Repeat([]byte("y"), 128)
-	for i := 0; i < 28; i++ {
-		st.Put(fmt.Sprintf("key-%d", i), small)
-	}
-	// Seal the active segment so it is compactable.
-	st.mu.Lock()
-	if st.active != nil {
-		st.active.sealed = true
-		st.active = nil
-	}
-	st.mu.Unlock()
-	st.CompactNow()
-	s := st.Stats()
-	if s.Compactions == 0 {
-		t.Fatalf("no compaction ran: %+v", s)
-	}
-	for i := 0; i < 32; i++ {
-		want := big
-		if i < 28 {
-			want = small
-		}
-		got, ok := st.Get(fmt.Sprintf("key-%d", i))
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("key-%d wrong after compaction (ok=%v len=%d)", i, ok, len(got))
-		}
-	}
-	if s.DeadBytes >= st.Stats().DiskBytes {
-		t.Fatalf("dead bytes not reclaimed: %+v", s)
 	}
 }
 
@@ -770,66 +765,6 @@ func TestPutReportsDurability(t *testing.T) {
 	st.Close()
 	if st.Put("late", []byte("body")) {
 		t.Fatal("Put after Close reported success")
-	}
-}
-
-func TestCompactBudgetMeters(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	b := &compactBudget{rate: 100, burst: 50}
-	// First grant starts with a full burst.
-	if wait := b.grant(t0); wait != 0 {
-		t.Fatalf("first grant wait = %v, want 0", wait)
-	}
-	// Spending the burst and more forces a wait sized to the deficit.
-	b.charge(150) // tokens = -100
-	wait := b.grant(t0)
-	if want := time.Duration(101) * time.Second / 100; wait != want {
-		t.Fatalf("deficit wait = %v, want %v", wait, want)
-	}
-	// Elapsed time refills at rate bytes/sec, capped at burst.
-	if wait := b.grant(t0.Add(2 * time.Second)); wait != 0 {
-		t.Fatalf("post-refill wait = %v, want 0", wait)
-	}
-	if wait := b.grant(t0.Add(100 * time.Second)); wait != 0 {
-		t.Fatalf("wait after long idle = %v, want 0", wait)
-	}
-	if b.tokens > b.burst {
-		t.Fatalf("tokens %d exceed burst %d", b.tokens, b.burst)
-	}
-	// Unlimited budget never waits regardless of charges.
-	u := &compactBudget{rate: -1}
-	u.charge(1 << 40)
-	if wait := u.grant(t0); wait != 0 {
-		t.Fatalf("unlimited budget wait = %v, want 0", wait)
-	}
-}
-
-func TestCompactionThrottledByRate(t *testing.T) {
-	// A 1 byte/sec budget means the second compaction kick must observe at
-	// least one throttle sleep (the first consumed the burst).
-	st := openTest(t, Config{
-		SegmentBytes:       512,
-		MaxBytes:           1 << 20,
-		CompactBytesPerSec: 1,
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for round := 0; ; round++ {
-		if st.Stats().CompactThrottles > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no throttle observed: stats = %+v", st.Stats())
-		}
-		// Distinct lengths per round so overwrites rewrite (same-length
-		// bodies dedupe) and sealed segments accumulate dead bytes; the
-		// never-overwritten stable key seeds each segment with live bytes
-		// so every compaction pass debits the budget.
-		body := strings.Repeat("x", 100+round%50)
-		st.Put(fmt.Sprintf("stable-%d", round), []byte(body))
-		for i := 0; i < 8; i++ {
-			st.Put(fmt.Sprintf("k-%d", i), []byte(body))
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
