@@ -18,24 +18,28 @@
 // size-adaptive scheduling) and a fresh baseline replicating the PR 3
 // /v1/batch engine exactly — one across-profile incr.BatchMeasure fan-out
 // plus a parallel moments pass and whole-struct JSON encoding — process the
-// same bodies, and the sample's speedup is the wall-time ratio. The gate is
-// benchstat-style: ≥ 5 samples, and the LOW end of the 95% confidence
-// interval of the mean speedup must clear the regime threshold, so a single
-// lucky run cannot certify and a single noisy one cannot flake the build.
+// same bodies, and the sample's speedup is the wall-time ratio. Each regime
+// is a benchcert.MeanCI95 claim: ≥ 5 samples, and the LOW end of the 95%
+// confidence interval of the mean speedup must clear the regime threshold,
+// so a single lucky run cannot certify and a single noisy one cannot flake
+// the build.
 //
 // The acceptance threshold rides on few_large (≥ 3×): the repeated sweep is
 // served from the body-front cache after the first evaluation, so the win is
 // algorithmic — one evaluation per sweep instead of one per request — and
 // holds on any core count. dedup_heavy must clear a more modest bar; its
-// duplicate entries still pay full JSON decode on both sides.
+// duplicate entries still pay full JSON decode on both sides. many_small is
+// report-only. A fourth claim, stream_peak, bounds the streaming render
+// path's peak heap against the buffered one (see streamPeakClaim).
 //
-// It prints one JSON document to stdout — the content of BENCH_batch.json
-// (see `make bench`):
+// It prints one certificate (internal/benchcert) to stdout — the content of
+// BENCH_batch.json (see `make bench`) — and exits non-zero if the
+// certificate fails benchcert.Check:
 //
 //	go run ./cmd/benchbatch > BENCH_batch.json
 //
 // The -quick flag shrinks sizes and samples so CI smoke tests finish fast;
-// the resulting document is not a certificate (too few samples).
+// its output is not a certificate (too few samples).
 package main
 
 import (
@@ -43,16 +47,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/core"
 	"hetero/internal/incr"
 	"hetero/internal/model"
@@ -64,76 +66,42 @@ import (
 const (
 	fewLargeThreshold   = 3.0
 	dedupHeavyThreshold = 1.1
-	// minSamples is the benchstat-style floor: a regime with fewer samples
-	// cannot certify (checkbench enforces this on the document too).
-	minSamples = 5
+	// streamMemoryRatio is the bounded-memory gate: the streaming path's
+	// peak heap growth must stay at or below this fraction of the buffered
+	// path's on the certificate workload.
+	streamMemoryRatio = 0.25
 )
 
-// RegimeResult reports one regime's paired baseline-vs-tuned comparison.
+// RegimeResult describes one regime's paired replays; its speedup is the
+// regime's claim.
 type RegimeResult struct {
-	Name              string    `json:"name"`
-	RequestsPerSample int       `json:"requests_per_sample"`
-	ProfilesPerBatch  int       `json:"profiles_per_batch"`
-	ProfileN          int       `json:"profile_n"`
-	Samples           int       `json:"samples"`
-	Speedups          []float64 `json:"speedups"` // one per paired sample
-	BaselineOpsPerSec float64   `json:"baseline_ops_per_sec"`
-	TunedOpsPerSec    float64   `json:"tuned_ops_per_sec"`
-	Speedup           float64   `json:"speedup"` // mean over samples
-	SpeedupCILow      float64   `json:"speedup_ci_low"`
-	SpeedupCIHigh     float64   `json:"speedup_ci_high"`
-	Threshold         float64   `json:"threshold,omitempty"`
-	MeetsThreshold    bool      `json:"meets_threshold"`
+	Name              string  `json:"name"`
+	RequestsPerSample int     `json:"requests_per_sample"`
+	ProfilesPerBatch  int     `json:"profiles_per_batch"`
+	ProfileN          int     `json:"profile_n"`
+	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
+	TunedOpsPerSec    float64 `json:"tuned_ops_per_sec"`
 }
 
-// MemoryResult certifies the bounded-peak-memory claim of the streaming
-// render path: the same large batch is served once through the buffered
-// engine (BatchBody) and once through the streaming engine (BatchBodyStream
-// into a discarding writer), on cache-disabled servers so no layer retains
-// bytes, while a sampler tracks peak heap growth over the pre-serve
-// baseline. The gate is the ratio of the two peaks: streaming must hold
-// peak memory at or below RatioThreshold of the buffered baseline. The
-// streamed bytes are hash-checked against the buffered response, so the
-// certificate also witnesses bit-identity at full scale.
-type MemoryResult struct {
-	ProfilesPerBatch  int      `json:"profiles_per_batch"`
-	ProfileN          int      `json:"profile_n"`
-	Samples           int      `json:"samples"`
-	ResponseBytes     int      `json:"response_bytes"`
-	StreamPeaks       []uint64 `json:"stream_peaks"`
-	BufferedPeaks     []uint64 `json:"buffered_peaks"`
-	PeakStreamBytes   uint64   `json:"peak_stream_bytes"`   // mean over samples
-	PeakBufferedBytes uint64   `json:"peak_buffered_bytes"` // mean over samples
-	PeakRatio         float64  `json:"peak_ratio"`          // mean stream / mean buffered
-	RatioThreshold    float64  `json:"ratio_threshold"`
-	MeetsThreshold    bool     `json:"meets_threshold"`
+// MemoryShape describes the bounded-peak-memory regime (see
+// streamPeakClaim).
+type MemoryShape struct {
+	ProfilesPerBatch int `json:"profiles_per_batch"`
+	ProfileN         int `json:"profile_n"`
+	ResponseBytes    int `json:"response_bytes"`
 }
 
-// Report is the BENCH_batch.json document.
+// Report is the certificate's descriptive block.
 type Report struct {
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Baseline   string         `json:"baseline"`
-	Gate       string         `json:"gate"`
-	Regimes    []RegimeResult `json:"regimes"`
-	Memory     *MemoryResult  `json:"memory,omitempty"`
-	Pass       bool           `json:"pass"`
+	Baseline string         `json:"baseline"`
+	Regimes  []RegimeResult `json:"regimes"`
+	Memory   MemoryShape    `json:"memory"`
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink sizes and samples (smoke test; not a certificate)")
 	flag.Parse()
-	rep := buildReport(*quick)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchbatch:", err)
-		os.Exit(1)
-	}
-	if !rep.Pass && !*quick {
-		fmt.Fprintln(os.Stderr, "benchbatch: a regime's speedup confidence interval missed its threshold")
-		os.Exit(1)
-	}
+	benchcert.Emit("benchbatch", buildCert(*quick), *quick)
 }
 
 // regimeSpec is one workload shape: bodies(sample) returns the request
@@ -146,13 +114,13 @@ type regimeSpec struct {
 	bodies    func(sample int) [][]byte
 }
 
-func buildReport(quick bool) Report {
+func buildCert(quick bool) *benchcert.Cert {
 	// Like benchserve, the certificate is defined at GOMAXPROCS ≥ 8 so the
 	// size-adaptive scheduler has a pool worth turning inward.
 	if runtime.GOMAXPROCS(0) < 8 {
 		runtime.GOMAXPROCS(8)
 	}
-	samples := minSamples
+	samples := benchcert.MinSamples
 	repeats := 8
 	smallProfiles, smallN := 512, 24
 	largeN := 1 << 16
@@ -164,13 +132,10 @@ func buildReport(quick bool) Report {
 		dedupEntries, dedupUniq, dedupN = 24, 4, 512
 	}
 
-	rep := Report{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Baseline:   "PR3 /v1/batch engine: across-profile incr.BatchMeasure fan-out + moments pass + whole-struct JSON encode, no batch caching",
-		Gate:       fmt.Sprintf("mean speedup over ≥%d paired samples; 95%% CI low end must clear the threshold", minSamples),
-		Pass:       true,
+	rep := &Report{
+		Baseline: "S25 /v1/batch engine: across-profile incr.BatchMeasure fan-out + moments pass + whole-struct JSON encode, no batch caching",
 	}
+	cert := &benchcert.Cert{Host: benchcert.ThisHost(), Report: rep}
 
 	regimes := []regimeSpec{
 		{
@@ -220,42 +185,29 @@ func buildReport(quick bool) Report {
 	}
 
 	for _, spec := range regimes {
-		r := runRegime(spec, samples, repeats)
-		if !r.MeetsThreshold {
-			rep.Pass = false
-		}
+		r, claim := runRegime(spec, samples, repeats)
 		rep.Regimes = append(rep.Regimes, r)
+		cert.Claims = append(cert.Claims, claim)
 	}
 
-	memProfiles, memN := 4096, 1024
+	rep.Memory = MemoryShape{ProfilesPerBatch: 4096, ProfileN: 1024}
 	if quick {
-		memProfiles, memN = 1024, 1024
+		rep.Memory.ProfilesPerBatch = 1024
 	}
-	mem := runMemoryRegime(memProfiles, memN, samples)
-	if !mem.MeetsThreshold {
-		rep.Pass = false
-	}
-	rep.Memory = &mem
-	return rep
+	cert.Claims = append(cert.Claims, streamPeakClaim(&rep.Memory, samples))
+	return cert
 }
 
-// streamMemoryRatio is the bounded-memory gate: the streaming path's peak
-// heap growth must stay at or below this fraction of the buffered path's on
-// the certificate workload.
-const streamMemoryRatio = 0.25
-
-// runMemoryRegime measures peak heap growth for one large batch served
-// buffered vs streamed. Full-precision ρ spellings keep the response (the
+// streamPeakClaim measures peak heap growth for one large batch served
+// buffered (BatchBody) vs streamed (BatchBodyStream into a hashing writer)
+// on cache-disabled servers, so no layer retains bytes. The claim is the
+// ratio of summed stream peaks to summed buffered peaks, ≤
+// streamMemoryRatio. Full-precision ρ spellings keep the response (the
 // thing streaming bounds) dominant over the decoded profiles (the floor both
-// paths share); cache-disabled servers keep retained cache bytes out of
-// both peaks.
-func runMemoryRegime(profiles, n, samples int) MemoryResult {
-	r := MemoryResult{
-		ProfilesPerBatch: profiles,
-		ProfileN:         n,
-		Samples:          samples,
-		RatioThreshold:   streamMemoryRatio,
-	}
+// paths share). The streamed bytes are hash-checked against the buffered
+// response, so the certificate also witnesses bit-identity at full scale.
+func streamPeakClaim(shape *MemoryShape, samples int) benchcert.Claim {
+	profiles, n := shape.ProfilesPerBatch, shape.ProfileN
 	// A tight GC keeps sampled HeapAlloc tracking live memory instead of
 	// accumulated garbage — without it the decode append-growth and
 	// per-fragment render garbage on the streaming side inflates its "peak"
@@ -276,118 +228,50 @@ func runMemoryRegime(profiles, n, samples int) MemoryResult {
 		}
 	}
 
+	var streamPeaks, bufPeaks []float64
 	for k := 0; k < samples; k++ {
 		var streamed countingHashWriter
-		streamPeak := measurePeak(func() {
+		streamPeak := benchcert.PeakHeap(func() {
 			s := api.NewServerCacheSize(0) // cache-disabled: nothing retained
 			status, msg, err := s.BatchBodyStream(context.Background(), &streamed, body)
 			if status != 200 || err != nil {
 				panic(fmt.Sprintf("benchbatch: stream serve failed: status %d %s err %v", status, msg, err))
 			}
 		})
-		var bufHash uint64
-		bufPeak := measurePeak(func() {
+		var bufHash uint32
+		bufPeak := benchcert.PeakHeap(func() {
 			s := api.NewServerCacheSize(0)
 			status, resp, msg := s.BatchBody(body)
 			if status != 200 {
 				panic(fmt.Sprintf("benchbatch: buffered serve failed: status %d %s", status, msg))
 			}
-			h := fnv.New64a()
-			h.Write(resp)
-			bufHash = h.Sum64()
-			r.ResponseBytes = len(resp)
+			bufHash = crc32.Checksum(resp, castagnoli)
+			shape.ResponseBytes = len(resp)
 		})
-		if streamed.hash.Sum64() != bufHash || streamed.n != r.ResponseBytes {
+		if streamed.h != bufHash || streamed.n != shape.ResponseBytes {
 			panic(fmt.Sprintf("benchbatch: streamed bytes diverge from buffered (%d vs %d bytes)",
-				streamed.n, r.ResponseBytes))
+				streamed.n, shape.ResponseBytes))
 		}
-		r.StreamPeaks = append(r.StreamPeaks, streamPeak)
-		r.BufferedPeaks = append(r.BufferedPeaks, bufPeak)
+		streamPeaks = append(streamPeaks, float64(streamPeak))
+		bufPeaks = append(bufPeaks, float64(bufPeak))
 	}
-	r.PeakStreamBytes = meanU64(r.StreamPeaks)
-	r.PeakBufferedBytes = meanU64(r.BufferedPeaks)
-	r.PeakRatio = float64(r.PeakStreamBytes) / float64(r.PeakBufferedBytes)
-	r.MeetsThreshold = r.PeakRatio <= r.RatioThreshold
-	return r
+	return benchcert.NewClaim("stream_peak", benchcert.RatioOfSums, benchcert.AtMost, streamMemoryRatio,
+		streamPeaks, bufPeaks)
 }
 
-// measurePeak runs fn while sampling runtime.MemStats.HeapAlloc and returns
-// the peak growth over the post-GC baseline taken just before fn.
-func measurePeak(fn func()) uint64 {
-	runtime.GC()
-	runtime.GC() // settle finalizer-freed memory so the baseline is stable
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
-
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var s runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			runtime.ReadMemStats(&s)
-			for {
-				p := peak.Load()
-				if s.HeapAlloc <= p || peak.CompareAndSwap(p, s.HeapAlloc) {
-					break
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	fn()
-	close(stop)
-	<-done
-	if p := peak.Load(); p > baseline {
-		return p - baseline
-	}
-	return 0
-}
-
-// countingHashWriter hashes and counts the stream without retaining it —
-// the memory-honest stand-in for a network socket.
+// countingHashWriter digests (CRC32-Castagnoli) and counts the stream
+// without retaining it — the memory-honest stand-in for a network socket.
 type countingHashWriter struct {
-	hash maphash64
-	n    int
+	h uint32
+	n int
 }
 
-// maphash64 wraps hash/fnv's 64-bit FNV-1a so the zero value is usable.
-type maphash64 struct{ h hash.Hash64 }
-
-func (m *maphash64) ensure() {
-	if m.h == nil {
-		m.h = fnv.New64a()
-	}
-}
-
-func (m *maphash64) Sum64() uint64 {
-	m.ensure()
-	return m.h.Sum64()
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func (w *countingHashWriter) Write(p []byte) (int, error) {
-	w.hash.ensure()
-	w.hash.h.Write(p)
+	w.h = crc32.Update(w.h, castagnoli, p)
 	w.n += len(p)
 	return len(p), nil
-}
-
-func meanU64(xs []uint64) uint64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum uint64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / uint64(len(xs))
 }
 
 // fullPrecisionProfiles draws count normalized n-computer profiles at full
@@ -402,16 +286,14 @@ func fullPrecisionProfiles(count, n int, seed uint64) [][]float64 {
 	return out
 }
 
-// runRegime collects paired samples for one workload shape and applies the
-// confidence-interval gate.
-func runRegime(spec regimeSpec, samples, repeats int) RegimeResult {
+// runRegime collects paired samples for one workload shape; its claim is
+// the mean baseline/tuned wall-time ratio, gated at its 95% CI low end.
+func runRegime(spec regimeSpec, samples, repeats int) (RegimeResult, benchcert.Claim) {
 	r := RegimeResult{
 		Name:              spec.name,
 		RequestsPerSample: repeats,
 		ProfilesPerBatch:  spec.profiles,
 		ProfileN:          spec.n,
-		Samples:           samples,
-		Threshold:         spec.threshold,
 	}
 	// One untimed paired replay first: the process's first pass over a
 	// regime pays one-off costs (heap growth, page faults, branch warmup)
@@ -419,6 +301,7 @@ func runRegime(spec regimeSpec, samples, repeats int) RegimeResult {
 	warm := spec.bodies(samples)
 	replay(warm, baselineBatchServer())
 	replay(warm, tunedBatchServer())
+	var baseNs, tunedNs []float64
 	var baseWall, tunedWall time.Duration
 	for k := 0; k < samples; k++ {
 		bodies := spec.bodies(k)
@@ -426,15 +309,13 @@ func runRegime(spec regimeSpec, samples, repeats int) RegimeResult {
 		tuned := replay(bodies, tunedBatchServer())
 		baseWall += base
 		tunedWall += tuned
-		r.Speedups = append(r.Speedups, float64(base)/float64(tuned))
+		baseNs = append(baseNs, float64(base))
+		tunedNs = append(tunedNs, float64(tuned))
 	}
 	ops := samples * repeats
 	r.BaselineOpsPerSec = float64(ops) / baseWall.Seconds()
 	r.TunedOpsPerSec = float64(ops) / tunedWall.Seconds()
-	r.Speedup, r.SpeedupCILow, r.SpeedupCIHigh = meanCI95(r.Speedups)
-	r.MeetsThreshold = spec.threshold == 0 ||
-		(len(r.Speedups) >= minSamples && r.SpeedupCILow >= spec.threshold)
-	return r
+	return r, benchcert.NewClaim(spec.name, benchcert.MeanCI95, benchcert.AtLeast, spec.threshold, baseNs, tunedNs)
 }
 
 // batchFunc serves one raw /v1/batch body.
@@ -510,33 +391,6 @@ func replay(bodies [][]byte, serve batchFunc) time.Duration {
 		}
 	}
 	return time.Since(t0)
-}
-
-// meanCI95 returns the sample mean and its two-sided 95% confidence
-// interval using the t-distribution (benchstat's gate, without the external
-// dependency). With one sample the interval collapses to the point.
-func meanCI95(xs []float64) (mean, lo, hi float64) {
-	n := len(xs)
-	mean = stats.Mean(xs)
-	if n < 2 {
-		return mean, mean, mean
-	}
-	sd := math.Sqrt(stats.Variance(xs) * float64(n) / float64(n-1)) // sample sd
-	half := tValue95(n-1) * sd / math.Sqrt(float64(n))
-	return mean, mean - half, mean + half
-}
-
-// tValue95 is the two-sided 95% Student-t critical value for df degrees of
-// freedom (df ≥ 8 rounds down to the asymptotic value).
-func tValue95(df int) float64 {
-	table := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306}
-	if df <= 0 {
-		return table[1]
-	}
-	if df < len(table) {
-		return table[df]
-	}
-	return 1.960
 }
 
 // randomProfiles draws count normalized n-computer profiles with 3-decimal

@@ -4,53 +4,43 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"hetero/internal/benchcert"
 )
 
 func TestBuildReportQuick(t *testing.T) {
-	rep := buildReport(true)
-	if len(rep.Regimes) != 3 {
-		t.Fatalf("%d regimes, want 3", len(rep.Regimes))
+	cert := buildCert(true)
+	rep := cert.Report.(*Report)
+	want := []string{"many_small", "few_large", "dedup_heavy", "stream_peak"}
+	if len(cert.Claims) != len(want) || len(rep.Regimes) != 3 {
+		t.Fatalf("%d claims and %d regimes, want claims %v", len(cert.Claims), len(rep.Regimes), want)
 	}
-	names := map[string]bool{}
+	for i, c := range cert.Claims {
+		if c.Name != want[i] {
+			t.Fatalf("claim %d is %q, want %q", i, c.Name, want[i])
+		}
+		if len(c.Num) != 2 || c.Value <= 0 {
+			t.Fatalf("claim %s: implausible quick samples %+v", c.Name, c)
+		}
+		if c.Stat == benchcert.MeanCI95 && (c.CILow == nil || *c.CILow > c.Value) {
+			t.Fatalf("claim %s: CI low %v above its mean %v", c.Name, c.CILow, c.Value)
+		}
+	}
 	for _, r := range rep.Regimes {
-		names[r.Name] = true
-		if r.RequestsPerSample <= 0 || r.Samples <= 0 {
-			t.Fatalf("regime %s: empty sampling plan: %+v", r.Name, r)
-		}
-		if len(r.Speedups) != r.Samples {
-			t.Fatalf("regime %s: %d speedups for %d samples", r.Name, len(r.Speedups), r.Samples)
-		}
-		if r.BaselineOpsPerSec <= 0 || r.TunedOpsPerSec <= 0 {
-			t.Fatalf("regime %s: non-positive throughput: %+v", r.Name, r)
-		}
-		if r.SpeedupCILow > r.Speedup || r.Speedup > r.SpeedupCIHigh {
-			t.Fatalf("regime %s: mean %v outside its CI [%v, %v]",
-				r.Name, r.Speedup, r.SpeedupCILow, r.SpeedupCIHigh)
+		if r.RequestsPerSample <= 0 || r.BaselineOpsPerSec <= 0 || r.TunedOpsPerSec <= 0 {
+			t.Fatalf("regime %s: empty replay: %+v", r.Name, r)
 		}
 	}
-	for _, want := range []string{"many_small", "few_large", "dedup_heavy"} {
-		if !names[want] {
-			t.Fatalf("missing regime %q", want)
-		}
-	}
-	if rep.Memory == nil {
-		t.Fatal("report carries no memory regime")
-	}
-	if rep.Memory.PeakStreamBytes == 0 || rep.Memory.PeakBufferedBytes == 0 {
-		t.Fatalf("memory regime measured nothing: %+v", rep.Memory)
-	}
-	if rep.Memory.PeakRatio <= 0 || rep.Memory.RatioThreshold != streamMemoryRatio {
-		t.Fatalf("memory regime gate malformed: %+v", rep.Memory)
-	}
-	if len(rep.Memory.StreamPeaks) != rep.Memory.Samples || len(rep.Memory.BufferedPeaks) != rep.Memory.Samples {
-		t.Fatalf("memory regime peak samples incomplete: %+v", rep.Memory)
+	if peak := cert.Claims[3]; peak.Threshold != streamMemoryRatio || peak.Direction != benchcert.AtMost ||
+		rep.Memory.ResponseBytes <= 0 {
+		t.Fatalf("stream_peak claim malformed: %+v, memory %+v", peak, rep.Memory)
 	}
 	// The document must round-trip as JSON (it becomes BENCH_batch.json).
-	raw, err := json.Marshal(rep)
+	raw, err := json.Marshal(cert)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Report
+	var back benchcert.Cert
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -71,20 +61,6 @@ func TestBaselineAndTunedAgree(t *testing.T) {
 	if !bytes.Equal(baseResp, tunedResp) {
 		t.Fatalf("small-profile batch responses diverge:\nbaseline %q\ntuned    %q",
 			truncate(baseResp), truncate(tunedResp))
-	}
-}
-
-func TestMeanCI95(t *testing.T) {
-	mean, lo, hi := meanCI95([]float64{5, 5, 5, 5, 5})
-	if mean != 5 || lo != 5 || hi != 5 {
-		t.Fatalf("constant samples: mean %v ci [%v, %v], want exactly 5", mean, lo, hi)
-	}
-	mean, lo, hi = meanCI95([]float64{4, 5, 6, 5, 5})
-	if mean != 5 || lo >= 5 || hi <= 5 || lo <= 3 || hi >= 7 {
-		t.Fatalf("noisy samples: mean %v ci [%v, %v]", mean, lo, hi)
-	}
-	if _, lo, hi = meanCI95([]float64{3}); lo != 3 || hi != 3 {
-		t.Fatalf("single sample must collapse to the point, got [%v, %v]", lo, hi)
 	}
 }
 

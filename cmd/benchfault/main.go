@@ -8,46 +8,38 @@
 //   - the replanner under a seeded multi-fault plan, reported for scale
 //     (informational; there is no fault-free baseline for replanning).
 //
-// It also certifies the deterministic elastic-churn robustness regime
-// (see ChurnRegimeResult): replicated redundancy must out-salvage the
-// ride-vs-replan server by ≥1.2× aggregate useful work on the fixed
-// heavy-churn plan, while its fault-free duplication overhead stays ≤2×.
+// The overhead claim is the ratio of summed faulty and plain ns/op over
+// five paired samples. It also certifies the deterministic elastic-churn
+// robustness regime (see churnClaims): replicated redundancy must
+// out-salvage the ride-vs-replan server by ≥1.2× aggregate useful work on
+// the fixed heavy-churn plan, while its fault-free duplication overhead
+// stays ≤2×.
 //
-// It prints one JSON document to stdout — the content of BENCH_fault.json
-// (see `make bench`):
+// It prints one certificate (internal/benchcert) to stdout — the content of
+// BENCH_fault.json (see `make bench`) — and exits non-zero if the
+// certificate fails benchcert.Check:
 //
 //	go run ./cmd/benchfault > BENCH_fault.json
 //
-// The -quick flag caps each measurement at a fixed small iteration count so
-// CI smoke tests finish in well under a second (ratios are then noisy and
-// not certified).
+// The -quick flag takes one sample of three iterations per timing so CI
+// smoke tests finish in well under a second; its output is not a
+// certificate.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
+	"hetero/internal/benchcert"
 	"hetero/internal/fault"
 	"hetero/internal/model"
 	"hetero/internal/profile"
 	"hetero/internal/sim"
 	"hetero/internal/stats"
 )
-
-// OverheadResult reports the empty-plan fault-integrator overhead.
-type OverheadResult struct {
-	N              int     `json:"n"`
-	PlainNsPerOp   float64 `json:"plain_ns_per_op"`
-	FaultyNsPerOp  float64 `json:"faulty_ns_per_op"`
-	Overhead       float64 `json:"overhead"`
-	Threshold      float64 `json:"threshold"`
-	MeetsThreshold bool    `json:"meets_threshold"`
-}
 
 // ReplanResult reports the replanner's cost under a seeded fault plan.
 // Every fault event costs one ride-vs-replan decision (a candidate CEP
@@ -62,111 +54,77 @@ type ReplanResult struct {
 	NsPerDecision float64 `json:"ns_per_decision"`
 }
 
-// ChurnRegimeResult certifies the elastic-churn robustness regime: on a
-// fixed heavy-churn plan (targeted slowdowns, a crash, a long outage, and
-// a join cohort on a homogeneous base cluster) with unpredicted ρ-jitter,
-// the margined replicated scheme must return at least Threshold× the
-// useful work of the clairvoyant ride-vs-replan salvager, aggregated over
-// a fixed seed pool. The gate is deterministic — no timing involved — and
-// checkbench re-derives Speedup from the raw useful-work sums, so a
-// hand-edited ratio cannot pass. EmptyPlanOverhead is the same scheme's
-// dispatched/useful ratio on a fault-free run: deliberate duplication must
-// stay within OverheadThreshold (2× for replicated-2).
-type ChurnRegimeResult struct {
-	Name              string  `json:"name"`
-	BaseN             int     `json:"base_n"`
-	Joins             int     `json:"joins"`
-	Seeds             int     `json:"seeds"`
-	Jitter            float64 `json:"jitter"`
-	Scheme            string  `json:"scheme"`
-	UsefulReplan      float64 `json:"useful_replan"`
-	UsefulRedundant   float64 `json:"useful_redundant"`
-	Speedup           float64 `json:"speedup"`
-	Threshold         float64 `json:"threshold"`
-	MeetsThreshold    bool    `json:"meets_threshold"`
-	EmptyPlanOverhead float64 `json:"empty_plan_overhead"`
-	OverheadThreshold float64 `json:"overhead_threshold"`
-	OverheadOK        bool    `json:"overhead_ok"`
+// ChurnShape describes the elastic-churn regime's fixed setup (see
+// churnClaims).
+type ChurnShape struct {
+	BaseN  int     `json:"base_n"`
+	Joins  int     `json:"joins"`
+	Seeds  int     `json:"seeds"`
+	Jitter float64 `json:"jitter"`
+	Scheme string  `json:"scheme"`
 }
 
-// Report is the BENCH_fault.json document.
+// Report is the certificate's descriptive block.
 type Report struct {
-	Overhead OverheadResult      `json:"empty_plan_overhead"`
-	Replan   ReplanResult        `json:"replan"`
-	Regimes  []ChurnRegimeResult `json:"regimes"`
-	Pass     bool                `json:"pass"`
+	Replan ReplanResult `json:"replan"`
+	Churn  ChurnShape   `json:"churn"`
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "single short iteration per benchmark (smoke test; ratios not certified)")
+	quick := flag.Bool("quick", false, "single short iteration per benchmark (smoke test; not a certificate)")
 	flag.Parse()
-	rep, err := buildReport(*quick)
+	cert, err := buildCert(*quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchfault:", err)
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchfault:", err)
-		os.Exit(1)
-	}
-	if !rep.Pass && !*quick {
-		fmt.Fprintln(os.Stderr, "benchfault: overhead threshold not met")
-		os.Exit(1)
-	}
+	benchcert.Emit("benchfault", cert, *quick)
 }
 
-// bench returns ns/op for f, mirroring benchincr: certified runs defer to
-// testing.Benchmark's calibration, quick mode times three iterations.
-func bench(quick bool, f func(b *testing.B)) float64 {
-	if quick {
-		var b testing.B
-		b.N = 3
-		start := time.Now()
-		f(&b)
-		return float64(time.Since(start).Nanoseconds()) / float64(b.N)
-	}
-	r := testing.Benchmark(f)
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-func buildReport(quick bool) (Report, error) {
-	var rep Report
+func buildCert(quick bool) (*benchcert.Cert, error) {
 	const n = 1024
 	const lifespan = 3600.0
 	m := model.Table1()
 	p := profile.RandomNormalized(stats.NewRNG(n), n)
 	pr, err := sim.OptimalFIFO(m, p, lifespan)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
+	var rep Report
+	cert := &benchcert.Cert{Host: benchcert.ThisHost(), Report: &rep}
 
-	rep.Overhead = OverheadResult{N: n, Threshold: 2}
-	rep.Overhead.PlainNsPerOp = bench(quick, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunCEP(m, p, pr, sim.Options{}); err != nil {
-				b.Fatal(err)
+	// Paired samples of the empty-plan overhead: faulty over plain ns/op.
+	samples := benchcert.MinSamples
+	if quick {
+		samples = 1
+	}
+	var plain, faulty []float64
+	for k := 0; k < samples; k++ {
+		plain = append(plain, benchcert.NsPerOp(quick, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunCEP(m, p, pr, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	rep.Overhead.FaultyNsPerOp = bench(quick, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunCEPFaulty(m, p, pr, fault.Plan{}, sim.Options{}); err != nil {
-				b.Fatal(err)
+		}))
+		faulty = append(faulty, benchcert.NsPerOp(quick, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunCEPFaulty(m, p, pr, fault.Plan{}, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	rep.Overhead.Overhead = rep.Overhead.FaultyNsPerOp / rep.Overhead.PlainNsPerOp
-	rep.Overhead.MeetsThreshold = rep.Overhead.Overhead <= rep.Overhead.Threshold
+		}))
+	}
+	cert.Claims = append(cert.Claims, benchcert.NewClaim("empty_plan_overhead",
+		benchcert.RatioOfSums, benchcert.AtMost, 2, faulty, plain))
 
 	plan := fault.Random(stats.NewRNG(7), n, lifespan, 16)
 	first, err := sim.SimulateFaulty(context.Background(), m, p, lifespan, plan, true, sim.Options{})
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
 	rep.Replan = ReplanResult{N: n, Faults: len(plan.Faults), Decisions: len(first.Decisions), Rounds: len(first.Rounds)}
-	rep.Replan.NsPerOp = bench(quick, func(b *testing.B) {
+	rep.Replan.NsPerOp = benchcert.NsPerOp(quick, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.SimulateFaulty(context.Background(), m, p, lifespan, plan, true, sim.Options{}); err != nil {
 				b.Fatal(err)
@@ -177,14 +135,12 @@ func buildReport(quick bool) (Report, error) {
 		rep.Replan.NsPerDecision = rep.Replan.NsPerOp / float64(rep.Replan.Decisions)
 	}
 
-	churn, err := churnRegime()
+	churn, err := churnClaims(&rep.Churn)
 	if err != nil {
-		return rep, err
+		return nil, err
 	}
-	rep.Regimes = append(rep.Regimes, churn)
-
-	rep.Pass = rep.Overhead.MeetsThreshold && churn.MeetsThreshold && churn.OverheadOK
-	return rep, nil
+	cert.Claims = append(cert.Claims, churn...)
+	return cert, nil
 }
 
 // heavyChurnPlan is the fixed elastic plan behind the churn regime,
@@ -202,49 +158,49 @@ func heavyChurnPlan() fault.Plan {
 	}}
 }
 
-// churnRegime runs the deterministic robustness gate: replicated-2@0.15
-// against the ride-vs-replan salvager over five jitter seeds of the
-// heavy-churn plan, plus the scheme's empty-plan duplication overhead.
-func churnRegime() (ChurnRegimeResult, error) {
+// churnClaims runs the deterministic elastic-churn robustness regime over
+// five jitter seeds of the heavy-churn plan, with unpredicted ρ-jitter. Two
+// claims, no timing involved:
+//
+//   - churn: the margined replicated scheme returns ≥ 1.2× the useful work
+//     of the clairvoyant ride-vs-replan salvager, summed over the seeds;
+//   - churn.overhead: the same scheme's fault-free dispatched/useful ratio
+//     under each seed's jitter stays ≤ 2 — deliberate duplication, no more.
+func churnClaims(shape *ChurnShape) ([]benchcert.Claim, error) {
 	m := model.Table1()
 	const lifespan = 3600.0
-	const seeds = 5
 	p := make(profile.Profile, 8)
 	for i := range p {
 		p[i] = 0.5
 	}
 	red := sim.Redundancy{Replicas: 2, Margin: 0.15}
-	res := ChurnRegimeResult{
-		Name: "churn", BaseN: len(p), Joins: 2, Seeds: seeds, Jitter: 0.15,
-		Scheme: red.String(), Threshold: 1.2, OverheadThreshold: 2,
-	}
+	*shape = ChurnShape{BaseN: len(p), Joins: 2, Seeds: 5, Jitter: 0.15, Scheme: red.String()}
 	plan := heavyChurnPlan()
-	for seed := uint64(1); seed <= seeds; seed++ {
-		opt := sim.Options{RhoJitter: res.Jitter, Seed: seed}
+	var replan, redundant, dispatched, useful []float64
+	for seed := uint64(1); seed <= uint64(shape.Seeds); seed++ {
+		opt := sim.Options{RhoJitter: shape.Jitter, Seed: seed}
 		rp, err := sim.SimulateElastic(context.Background(), m, p, lifespan, plan,
 			sim.ElasticPolicy{Replan: true}, opt)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		rd, err := sim.SimulateElastic(context.Background(), m, p, lifespan, plan,
 			sim.ElasticPolicy{Redundancy: red}, opt)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		res.UsefulReplan += rp.Useful
-		res.UsefulRedundant += rd.Useful
+		calm, err := sim.SimulateElastic(context.Background(), m, p, lifespan, fault.Plan{},
+			sim.ElasticPolicy{Redundancy: red}, opt)
+		if err != nil {
+			return nil, err
+		}
+		replan = append(replan, rp.Useful)
+		redundant = append(redundant, rd.Useful)
+		dispatched = append(dispatched, calm.Dispatched)
+		useful = append(useful, calm.Useful)
 	}
-	if res.UsefulReplan > 0 {
-		res.Speedup = res.UsefulRedundant / res.UsefulReplan
-	}
-	res.MeetsThreshold = res.Speedup >= res.Threshold
-
-	calm, err := sim.SimulateElastic(context.Background(), m, p, lifespan, fault.Plan{},
-		sim.ElasticPolicy{Redundancy: red}, sim.Options{})
-	if err != nil {
-		return res, err
-	}
-	res.EmptyPlanOverhead = calm.Overhead
-	res.OverheadOK = res.EmptyPlanOverhead <= res.OverheadThreshold*(1+1e-9)
-	return res, nil
+	return []benchcert.Claim{
+		benchcert.NewClaim("churn", benchcert.RatioOfSums, benchcert.AtLeast, 1.2, redundant, replan),
+		benchcert.NewClaim("churn.overhead", benchcert.RatioOfSums, benchcert.AtMost, 2, dispatched, useful),
+	}, nil
 }

@@ -1,44 +1,40 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"hetero/internal/benchcert"
+)
 
 func TestBuildReportQuick(t *testing.T) {
-	rep, err := buildReport(true)
+	cert, err := buildCert(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Overhead.PlainNsPerOp <= 0 || rep.Overhead.FaultyNsPerOp <= 0 {
-		t.Fatalf("non-positive overhead timings: %+v", rep.Overhead)
-	}
-	if rep.Overhead.Overhead <= 0 {
-		t.Fatalf("non-positive overhead ratio: %+v", rep.Overhead)
-	}
+	rep := cert.Report.(*Report)
 	if rep.Replan.NsPerOp <= 0 || rep.Replan.Rounds <= 0 || rep.Replan.Faults <= 0 || rep.Replan.Decisions <= 0 {
 		t.Fatalf("implausible replan row: %+v", rep.Replan)
 	}
-	if len(rep.Regimes) != 1 {
-		t.Fatalf("regimes = %d, want the churn regime", len(rep.Regimes))
+	if rep.Churn.Seeds < 5 || rep.Churn.BaseN != 8 || rep.Churn.Joins != 2 {
+		t.Fatalf("implausible churn shape: %+v", rep.Churn)
 	}
-	churn := rep.Regimes[0]
-	if churn.Name != "churn" || churn.Seeds < 5 || churn.BaseN != 8 || churn.Joins != 2 {
-		t.Fatalf("implausible churn shape: %+v", churn)
+	claims := map[string]benchcert.Claim{}
+	for _, c := range cert.Claims {
+		claims[c.Name] = c
 	}
-	// The churn gate is deterministic (no timing), so even a quick run must
-	// certify: raw sums positive, the reported speedup re-derivable from
-	// them, and both thresholds met.
-	if churn.UsefulReplan <= 0 || churn.UsefulRedundant <= 0 {
-		t.Fatalf("non-positive useful-work sums: %+v", churn)
+	if o := claims["empty_plan_overhead"]; len(o.Num) != 1 || o.Value <= 0 || o.Threshold != 2 {
+		t.Fatalf("implausible overhead claim: %+v", o)
 	}
-	if got := churn.UsefulRedundant / churn.UsefulReplan; got != churn.Speedup {
-		t.Fatalf("speedup %v not derived from raw sums (want %v)", churn.Speedup, got)
+	// The churn claims are deterministic (no timing), so even a quick run
+	// must certify them: one sample per seed, both thresholds met.
+	churn := benchcert.Cert{Claims: []benchcert.Claim{claims["churn"], claims["churn.overhead"]}}
+	if err := benchcert.Check(&churn, nil); err != nil {
+		t.Fatalf("churn claims fail in a quick run: %v", err)
 	}
-	if !churn.MeetsThreshold || churn.Speedup < churn.Threshold {
-		t.Fatalf("churn gate not met: %+v", churn)
+	if len(claims["churn"].Num) != rep.Churn.Seeds {
+		t.Fatalf("churn claim carries %d samples for %d seeds", len(claims["churn"].Num), rep.Churn.Seeds)
 	}
-	if !churn.OverheadOK || churn.EmptyPlanOverhead > churn.OverheadThreshold*(1+1e-9) {
-		t.Fatalf("empty-plan overhead gate not met: %+v", churn)
-	}
-	if churn.EmptyPlanOverhead < 1 {
-		t.Fatalf("replicated dispatch cannot duplicate less than 1x: %+v", churn)
+	if v := claims["churn.overhead"].Value; v < 1 {
+		t.Fatalf("replicated dispatch cannot duplicate less than 1x: %v", v)
 	}
 }

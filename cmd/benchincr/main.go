@@ -2,100 +2,59 @@
 // and the batched/cached serving path. It times, via testing.Benchmark:
 //
 //   - the O(n²) brute-force speedup search vs the O(n) incremental search
-//     at n ∈ {256, 4096} (acceptance: ≥10× at n = 4096), and
+//     at n ∈ {256, 4096} (acceptance: ≥2× at n = 256, ≥10× at n = 4096), and
 //   - /v1/measure throughput with the response cache warm vs disabled.
 //
-// It prints one JSON document to stdout — the content of BENCH_incr.json
-// (see `make bench`):
+// Each speedup-search claim is the ratio of summed brute and incremental
+// ns/op over five paired samples; /v1/measure serving is report-only. It
+// prints one certificate (internal/benchcert) to stdout — the content of
+// BENCH_incr.json (see `make bench`) — and exits non-zero if the
+// certificate fails benchcert.Check:
 //
 //	go run ./cmd/benchincr > BENCH_incr.json
 //
-// The -quick flag caps each measurement at a fixed small iteration count so
-// CI smoke tests finish in well under a second (ratios are then noisy and
-// not certified).
+// The -quick flag takes one sample of three iterations per measurement so
+// CI smoke tests finish in well under a second; its output is not a
+// certificate.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/core"
 	"hetero/internal/model"
 	"hetero/internal/profile"
 	"hetero/internal/stats"
 )
 
-// SearchResult reports one brute-vs-incremental speedup-search comparison.
-type SearchResult struct {
-	N              int     `json:"n"`
-	BruteNsPerOp   float64 `json:"brute_ns_per_op"`
-	IncrNsPerOp    float64 `json:"incremental_ns_per_op"`
-	Speedup        float64 `json:"speedup"`
-	MeetsThreshold bool    `json:"meets_threshold"`
-	Threshold      float64 `json:"threshold"`
-}
-
-// ServeResult reports the cached-vs-uncached /v1/measure comparison.
-type ServeResult struct {
-	UncachedNsPerOp float64 `json:"uncached_ns_per_op"`
-	CachedNsPerOp   float64 `json:"cached_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// Report is the BENCH_incr.json document.
-type Report struct {
-	Search  []SearchResult `json:"speedup_search"`
-	Serving ServeResult    `json:"measure_serving"`
-	Pass    bool           `json:"pass"`
-}
-
 func main() {
-	quick := flag.Bool("quick", false, "single short iteration per benchmark (smoke test; ratios not certified)")
+	quick := flag.Bool("quick", false, "single short iteration per benchmark (smoke test; not a certificate)")
 	flag.Parse()
-	rep, err := buildReport(*quick)
+	cert, err := buildCert(*quick)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchincr:", err)
 		os.Exit(1)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchincr:", err)
-		os.Exit(1)
-	}
-	if !rep.Pass && !*quick {
-		fmt.Fprintln(os.Stderr, "benchincr: speedup threshold not met")
-		os.Exit(1)
-	}
+	benchcert.Emit("benchincr", cert, *quick)
 }
 
-// bench returns ns/op for f. The certified path defers to testing.Benchmark
-// (which calibrates iteration counts itself); quick mode times a fixed
-// three-iteration run directly, since fighting the harness's calibration
-// loop with a pinned b.N never terminates.
-func bench(quick bool, f func(b *testing.B)) float64 {
+func buildCert(quick bool) (*benchcert.Cert, error) {
+	cert := &benchcert.Cert{Host: benchcert.ThisHost()}
+	samples := benchcert.MinSamples
 	if quick {
-		var b testing.B
-		b.N = 3
-		start := time.Now()
-		f(&b)
-		return float64(time.Since(start).Nanoseconds()) / float64(b.N)
+		samples = 1
 	}
-	r := testing.Benchmark(f)
-	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-func buildReport(quick bool) (Report, error) {
-	var rep Report
 	m := model.Figs34()
 	// The n=4096 floor certifies the headline O(n²)→O(n) claim; n=256 shows
-	// the win is not an asymptotic artifact.
+	// the win is not an asymptotic artifact. Each sample pairs one brute
+	// and one incremental ns/op; the claim is their ratio of sums.
 	for _, tc := range []struct {
 		n         int
 		threshold float64
@@ -105,31 +64,27 @@ func buildReport(quick bool) (Report, error) {
 	} {
 		p := profile.RandomNormalized(stats.NewRNG(uint64(tc.n)), tc.n)
 		if _, err := core.BestMultiplicative(m, p, 0.5); err != nil {
-			return rep, err
+			return nil, err
 		}
-		brute := bench(quick, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BestMultiplicativeBruteForce(m, p, 0.5); err != nil {
-					b.Fatal(err)
+		var brute, incremental []float64
+		for k := 0; k < samples; k++ {
+			brute = append(brute, benchcert.NsPerOp(quick, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.BestMultiplicativeBruteForce(m, p, 0.5); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		incremental := bench(quick, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.BestMultiplicative(m, p, 0.5); err != nil {
-					b.Fatal(err)
+			}))
+			incremental = append(incremental, benchcert.NsPerOp(quick, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.BestMultiplicative(m, p, 0.5); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		r := SearchResult{
-			N:            tc.n,
-			BruteNsPerOp: brute,
-			IncrNsPerOp:  incremental,
-			Speedup:      brute / incremental,
-			Threshold:    tc.threshold,
+			}))
 		}
-		r.MeetsThreshold = r.Speedup >= tc.threshold
-		rep.Search = append(rep.Search, r)
+		cert.Claims = append(cert.Claims, benchcert.NewClaim(fmt.Sprintf("speedup_search.n%d", tc.n),
+			benchcert.RatioOfSums, benchcert.AtLeast, tc.threshold, brute, incremental))
 	}
 
 	req := httptest.NewRequest("GET", "/v1/measure?profile=1,0.5,0.25,0.125", nil)
@@ -140,34 +95,21 @@ func buildReport(quick bool) (Report, error) {
 		rec := httptest.NewRecorder()
 		cachedHandler.ServeHTTP(rec, req)
 		if rec.Code != 200 {
-			return rep, fmt.Errorf("cache warmup status %d", rec.Code)
+			return nil, fmt.Errorf("cache warmup status %d", rec.Code)
 		}
 	}
-	rep.Serving.UncachedNsPerOp = bench(quick, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec := httptest.NewRecorder()
-			uncachedHandler.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatalf("status %d", rec.Code)
+	serve := func(h http.Handler) float64 {
+		return benchcert.NsPerOp(quick, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					b.Fatalf("status %d", rec.Code)
+				}
 			}
-		}
-	})
-	rep.Serving.CachedNsPerOp = bench(quick, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rec := httptest.NewRecorder()
-			cachedHandler.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatalf("status %d", rec.Code)
-			}
-		}
-	})
-	rep.Serving.Speedup = rep.Serving.UncachedNsPerOp / rep.Serving.CachedNsPerOp
-
-	rep.Pass = true
-	for _, r := range rep.Search {
-		if !r.MeetsThreshold {
-			rep.Pass = false
-		}
+		})
 	}
-	return rep, nil
+	cert.Claims = append(cert.Claims, benchcert.NewClaim("measure_serving", benchcert.RatioOfSums, benchcert.AtLeast, 0,
+		[]float64{serve(uncachedHandler)}, []float64{serve(cachedHandler)}))
+	return cert, nil
 }

@@ -3,22 +3,23 @@ package main
 import "testing"
 
 func TestBuildReportQuick(t *testing.T) {
-	rep, err := buildReport(true)
+	cert, err := buildCert(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Search) != 2 {
-		t.Fatalf("%d search rows, want 2", len(rep.Search))
+	want := []string{"speedup_search.n256", "speedup_search.n4096", "measure_serving"}
+	if len(cert.Claims) != len(want) {
+		t.Fatalf("%d claims, want %v", len(cert.Claims), want)
 	}
-	for _, r := range rep.Search {
-		if r.BruteNsPerOp <= 0 || r.IncrNsPerOp <= 0 {
-			t.Fatalf("non-positive timing at n=%d: %+v", r.N, r)
+	for i, c := range cert.Claims {
+		if c.Name != want[i] {
+			t.Fatalf("claim %d is %q, want %q", i, c.Name, want[i])
 		}
-		if r.Speedup <= 0 {
-			t.Fatalf("non-positive speedup at n=%d", r.N)
+		if len(c.Num) != 1 || c.Num[0] <= 0 || c.Den[0] <= 0 || c.Value <= 0 {
+			t.Fatalf("claim %s: implausible quick sample %+v", c.Name, c)
 		}
 	}
-	if rep.Serving.UncachedNsPerOp <= 0 || rep.Serving.CachedNsPerOp <= 0 {
-		t.Fatalf("non-positive serving timings: %+v", rep.Serving)
+	if cert.Claims[1].Threshold != 10 || cert.Claims[2].Threshold != 0 {
+		t.Fatalf("thresholds drifted: %+v", cert.Claims)
 	}
 }

@@ -14,15 +14,18 @@ package main
 // evaluation, render) for every single request — D×R evaluations — while
 // the peer fleet evaluates each key once fleet-wide (the first toucher
 // evaluates and synchronously pushes to the owner; every later replica
-// peer-fetches the bytes). The certificate gates both effects:
+// peer-fetches the bytes). The certificate claims both effects, each
+// derived from raw per-sample counters:
 //
-//   - hit amplification: total evaluations per distinct key ≤ 1.25 with the
-//     tier on (vs ≈ replicas without), re-derived by cmd/checkbench from the
-//     raw eval counters;
-//   - wall clock: the 95% CI low end of the peer/no-peer throughput ratio
-//     over ≥ 5 paired samples ≥ 2×; each recorded sample is the
-//     median-ratio pair of three back-to-back fresh-fleet drive pairs
-//     (see fleetPairsPerSample).
+//   - fleet.amplification: total evaluations per distinct key ≤ 1.25 with
+//     the tier on (vs ≈ replicas without);
+//   - fleet.baseline_evals: the no-peer fleet evaluated ≥ 75% of its
+//     (key, replica) visits, so the wall-clock ratio was measured against a
+//     baseline that paid its cold misses;
+//   - fleet: the 95% CI low end of the peer/no-peer throughput ratio over
+//     ≥ 5 paired samples ≥ 2×; each recorded sample is the median-ratio
+//     pair of three back-to-back fresh-fleet drive pairs (see
+//     fleetPairsPerSample).
 //
 // Every tuned-fleet body is compared byte-for-byte against a solo server's
 // evaluation of the same query, so the regime doubles as a golden test: a
@@ -41,6 +44,7 @@ import (
 	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/cluster"
 )
 
@@ -55,10 +59,16 @@ const fleetThreshold = 2.0
 // each of which falls back to one extra local evaluation by design.
 const fleetAmpThreshold = 1.25
 
-// fleetSamples is the benchstat-style paired-sample count; cmd/checkbench
-// rejects certificates below its minSamples floor (5), so -quick cannot
-// certify. Nine samples (vs the floor of five) buy a usefully tighter
-// Student-t interval on a single-CPU host where scheduler noise is real.
+// fleetBaselineEvalShare is the floor on the share of (key, replica) visits
+// the no-peer baseline fleet must evaluate: near 1 by construction (every
+// visit is a cold miss), so a lower share means the baseline did not do the
+// work the wall-clock ratio is measured against.
+const fleetBaselineEvalShare = 0.75
+
+// fleetSamples is the paired-sample count; a certificate below the
+// benchcert.MinSamples floor (5) cannot certify, so -quick cannot. Nine
+// samples buy a usefully tighter Student-t interval on a small host where
+// scheduler noise is real.
 const fleetSamples = 9
 
 // fleetHedgeDelay for the certified run sits well above a healthy loopback
@@ -77,8 +87,8 @@ const fleetHedgeDelay = 25 * time.Millisecond
 // pair and cancel in their ratio; a one-sided stall corrupts only one
 // pair, and the median rejects it without trimming the recorded sample
 // pool itself. The median pair's wall clocks and its eval counters are
-// recorded together, so checkbench's amplification audit reads exactly
-// the drives the wall-clock claim is built from.
+// recorded together, so the amplification claims read exactly the drives
+// the wall-clock claim is built from.
 const fleetPairsPerSample = 3
 
 type fleetSizes struct {
@@ -215,7 +225,7 @@ func driveFleet(f *fleet, queries []string, passes, clients int, want [][]byte,
 }
 
 // fleetQueries builds D distinct large-profile keys; deterministic seeds so
-// every sample (and checkbench's mental model) sees identical traffic.
+// every sample sees identical traffic.
 func fleetQueries(keys, profileN int) []string {
 	out := make([]string, keys)
 	for i := range out {
@@ -269,56 +279,44 @@ func medianFleetPair(sz fleetSizes, queries []string, want [][]byte,
 	return med.base, med.tuned, med.bEvals, med.tEvals
 }
 
-// runFleet runs the paired fleet samples and builds the certificate.
-func runFleet(quick bool) RegimeResult {
+// runFleet runs the paired fleet samples and builds the fleet claims.
+func runFleet(quick bool) (RegimeResult, []benchcert.Claim) {
 	sz := fleetDefaultSizes(quick)
 	queries := fleetQueries(sz.keys, sz.profileN)
 	want := goldenBodies(queries)
 	rotate := func(p, i int) int { return (i + p) % sz.replicas }
 
-	ratios := make([]float64, 0, sz.samples)
+	var baseNs, tunedNs, baseEvals, tunedEvals, keys, visits []float64
 	var sumBase, sumTuned float64
-	var fleetEvals, baseEvals uint64
 	var lastTuned loadStats
 	for k := 0; k < sz.samples; k++ {
 		base, tuned, bEvals, tEvals := medianFleetPair(sz, queries, want, rotate)
-		baseEvals += bEvals
-		fleetEvals += tEvals
-
-		if base.opsPerSec() > 0 {
-			ratios = append(ratios, tuned.opsPerSec()/base.opsPerSec())
-			fmt.Fprintf(os.Stderr, "benchserve: fleet sample %d/%d: base=%.0f ops/s tuned=%.0f ops/s ratio=%.3f\n",
-				k+1, sz.samples, base.opsPerSec(), tuned.opsPerSec(), tuned.opsPerSec()/base.opsPerSec())
-		}
+		baseNs = append(baseNs, float64(base.wall))
+		tunedNs = append(tunedNs, float64(tuned.wall))
+		baseEvals = append(baseEvals, float64(bEvals))
+		tunedEvals = append(tunedEvals, float64(tEvals))
+		keys = append(keys, float64(sz.keys))
+		visits = append(visits, float64(sz.keys*sz.replicas))
+		fmt.Fprintf(os.Stderr, "benchserve: fleet sample %d/%d: base=%.0f ops/s tuned=%.0f ops/s ratio=%.3f\n",
+			k+1, sz.samples, base.opsPerSec(), tuned.opsPerSec(), float64(base.wall)/float64(tuned.wall))
 		sumBase += base.opsPerSec()
 		sumTuned += tuned.opsPerSec()
 		lastTuned = tuned
 	}
-	mean, lo, _ := meanCI95(ratios)
-	perKey := float64(sz.keys * sz.samples)
 	r := RegimeResult{
-		Name:                  "fleet",
-		Requests:              sz.keys * sz.passes,
-		BaselineOpsPerSec:     sumBase / float64(sz.samples),
-		TunedOpsPerSec:        sumTuned / float64(sz.samples),
-		Speedup:               mean,
-		SpeedupCILow:          lo,
-		Samples:               len(ratios),
-		TunedP50Ms:            lastTuned.percentileMs(50),
-		TunedP99Ms:            lastTuned.percentileMs(99),
-		TunedAllocsPerOp:      lastTuned.allocsPerOp,
-		Threshold:             fleetThreshold,
-		Replicas:              sz.replicas,
-		DistinctKeys:          sz.keys,
-		Passes:                sz.passes,
-		FleetEvals:            fleetEvals,
-		BaselineEvals:         baseEvals,
-		Amplification:         float64(fleetEvals) / perKey,
-		BaselineAmplification: float64(baseEvals) / perKey,
-		AmpThreshold:          fleetAmpThreshold,
+		Name:              "fleet",
+		Requests:          sz.keys * sz.passes,
+		BaselineOpsPerSec: sumBase / float64(sz.samples),
+		TunedOpsPerSec:    sumTuned / float64(sz.samples),
+		TunedP50Ms:        lastTuned.percentileMs(50),
+		TunedP99Ms:        lastTuned.percentileMs(99),
+		TunedAllocsPerOp:  lastTuned.allocsPerOp,
 	}
-	r.MeetsThreshold = r.SpeedupCILow >= r.Threshold && r.Amplification <= r.AmpThreshold
-	return r
+	return r, []benchcert.Claim{
+		benchcert.NewClaim("fleet", benchcert.MeanCI95, benchcert.AtLeast, fleetThreshold, baseNs, tunedNs),
+		benchcert.NewClaim("fleet.amplification", benchcert.RatioOfSums, benchcert.AtMost, fleetAmpThreshold, tunedEvals, keys),
+		benchcert.NewClaim("fleet.baseline_evals", benchcert.RatioOfSums, benchcert.AtLeast, fleetBaselineEvalShare, baseEvals, visits),
+	}
 }
 
 // runFleetChaos is the `make chaos` fleet run: a live peer fleet loses one
@@ -373,6 +371,5 @@ func runFleetChaos() RegimeResult {
 		TunedP50Ms:       stats.percentileMs(50),
 		TunedP99Ms:       stats.percentileMs(99),
 		TunedAllocsPerOp: stats.allocsPerOp,
-		MeetsThreshold:   true, // availability regime: reaching here means every request passed
 	}
 }

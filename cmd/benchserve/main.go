@@ -1,6 +1,6 @@
 // Command benchserve certifies the serving hot-path overhaul. It drives the
 // /v1/measure path in-process (through api.Server.MeasureQuery, free of
-// net/http overhead) under six load regimes:
+// net/http overhead) under eight load regimes:
 //
 //	hit           concurrent requests over a warm working set of small
 //	              profiles
@@ -18,41 +18,45 @@
 //	              the same server without it.
 //	fleet         a round-robin client over four in-process replicas with
 //	              the distributed cache tier on vs. the same fleet without
-//	              it (see fleet.go): certifies both cross-replica hit
-//	              amplification (≈ 1 evaluation per distinct key fleet-wide
-//	              instead of ≈ one per replica) and the wall-clock speedup,
-//	              benchstat-style. -fleet-chaos runs the availability drill
-//	              instead: one replica dies mid-run and every request must
-//	              still be served byte-identically (`make chaos`).
+//	              it (see fleet.go). -fleet-chaos runs the availability
+//	              drill instead: one replica dies mid-run and every request
+//	              must still be served byte-identically (`make chaos`).
+//	sweep         repeated large streamed batch sweeps, spill tier on vs.
+//	              off (see sweep.go); -spill-chaos is its corruption drill.
+//	restart       a write-through spill tier reopened under an empty memory
+//	              tier (see restart.go).
 //
 // The first four regimes run against two servers built from the same code:
 // the tuned configuration (sharded cache, singleflight coalescing,
 // raw-query front layer) and the historical baseline (single-lock cache, no
-// coalescing, no raw layer — api.NewServerCacheOpts(n, 1, false)). The
-// report records ops/sec for both, the speedup, and tuned-side p50/p99
-// latency and allocations per operation.
+// coalescing, no raw layer — api.NewServerCacheOpts(n, 1, false)). Each is a
+// claim on the baseline/tuned wall-time ratio; hit, miss and large_n are
+// report-only, and the report block records ops/sec for both sides and
+// tuned-side p50/p99 latency and allocations per operation.
 //
-// Two acceptance thresholds:
+// The gated claims (thresholds in DESIGN.md "Benchmark certificates"):
 //
-//   - mixed: tuned throughput ≥ 3× baseline at GOMAXPROCS ≥ 8 (forced to 16
-//     when the host gives less). On a single-core host the win is
-//     algorithmic, not parallel: the baseline evaluates a herd of identical
-//     misses once per worker, the tuned path exactly once per wave.
-//   - many_clients: certified benchstat-style — ≥ 5 paired samples, and the
-//     LOW end of the 95% confidence interval of the coalesced/uncoalesced
-//     throughput ratio must be ≥ 2×. Per flush the batcher pays the
-//     profile-sized costs (decode, canonical suffix, moments, echo) once
-//     per distinct profile instead of once per request, so a herd of N
-//     distinct small queries collapses from N pool dispatches into
-//     ~N/flush-size coalesced dispatches.
+//   - mixed: tuned throughput ≥ 3× baseline, summed over the herd waves, at
+//     GOMAXPROCS ≥ 8 (forced to 16 when the host gives less). On a
+//     single-core host the win is algorithmic, not parallel: the baseline
+//     evaluates a herd of identical misses once per worker, the tuned path
+//     exactly once per wave.
+//   - many_clients: the LOW end of the 95% confidence interval of the
+//     coalesced/uncoalesced throughput ratio over 5 paired samples must be
+//     ≥ 2×. Per flush the batcher pays the profile-sized costs (decode,
+//     canonical suffix, moments, echo) once per distinct profile instead of
+//     once per request, so a herd of N distinct small queries collapses
+//     from N pool dispatches into ~N/flush-size coalesced dispatches.
+//   - fleet, sweep and restart: see their files.
 //
-// It prints one JSON document to stdout — the content of BENCH_serve.json
-// (see `make bench`):
+// It prints one certificate (internal/benchcert) to stdout — the content of
+// BENCH_serve.json (see `make bench`) — and exits non-zero if the
+// certificate fails benchcert.Check:
 //
 //	go run ./cmd/benchserve > BENCH_serve.json
 //
-// The -quick flag shrinks every regime so CI smoke tests finish fast;
-// ratios are then noisy and not certified.
+// The -quick flag shrinks every regime so CI smoke tests finish fast; its
+// output is not a certificate.
 package main
 
 import (
@@ -69,132 +73,57 @@ import (
 	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/core"
 	"hetero/internal/profile"
 	"hetero/internal/stats"
 )
 
-// mixedThreshold is the certified floor for tuned/baseline throughput in
-// the mixed regime.
+// mixedThreshold is the certified floor for baseline/tuned wall time
+// (equal request counts, so tuned/baseline throughput) in the mixed regime.
 const mixedThreshold = 3.0
 
 // manyClientsThreshold is the certified floor for the 95% CI low end of the
 // coalesced/uncoalesced throughput ratio in the many_clients regime.
 const manyClientsThreshold = 2.0
 
-// manyClientsSamples is the benchstat-style paired-sample count the
-// many_clients certificate carries; cmd/checkbench rejects certificates
-// below its own minSamples floor (5), so a -quick document cannot certify.
-const manyClientsSamples = 5
-
-// RegimeResult reports one load regime's baseline-vs-tuned comparison.
-// Samples and SpeedupCILow are carried only by benchstat-style regimes
-// (many_clients): Speedup is then the mean ratio over the paired samples
-// and SpeedupCILow the low end of its 95% confidence interval — the number
-// the threshold gates on.
+// RegimeResult describes one load regime on the tuned side; the regime's
+// ratios live in its claims.
 type RegimeResult struct {
 	Name              string  `json:"name"`
 	Requests          int     `json:"requests"`
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
+	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec,omitempty"`
 	TunedOpsPerSec    float64 `json:"tuned_ops_per_sec"`
-	Speedup           float64 `json:"speedup"`
-	SpeedupCILow      float64 `json:"speedup_ci_low,omitempty"`
-	Samples           int     `json:"samples,omitempty"`
 	TunedP50Ms        float64 `json:"tuned_p50_ms"`
 	TunedP99Ms        float64 `json:"tuned_p99_ms"`
 	TunedAllocsPerOp  float64 `json:"tuned_allocs_per_op"`
-	Threshold         float64 `json:"threshold,omitempty"`
-	MeetsThreshold    bool    `json:"meets_threshold"`
-
-	// Fleet-regime extras (see fleet.go): raw evaluation counters summed
-	// over all samples, and the per-distinct-key amplification they derive
-	// to — FleetEvals / (DistinctKeys × Samples) — gated at AmpThreshold.
-	// cmd/checkbench re-derives the division and rejects a certificate whose
-	// recorded amplification disagrees with its own counters.
-	Replicas              int     `json:"replicas,omitempty"`
-	DistinctKeys          int     `json:"distinct_keys,omitempty"`
-	Passes                int     `json:"passes,omitempty"`
-	FleetEvals            uint64  `json:"fleet_evals,omitempty"`
-	BaselineEvals         uint64  `json:"baseline_evals,omitempty"`
-	Amplification         float64 `json:"amplification,omitempty"`
-	BaselineAmplification float64 `json:"baseline_amplification,omitempty"`
-	AmpThreshold          float64 `json:"amp_threshold,omitempty"`
-
-	// Sweep-regime extras (see sweep.go): per-sample paired wall clocks
-	// for the identical streamed sweep against fresh spill-off and
-	// spill-on servers — cmd/checkbench re-derives the speedup and its CI
-	// from these raws rather than trusting the summary — plus the
-	// spill-hit count over every timed pass and the sampled heap peak of
-	// serving one spill hit, gated at PeakBytes ≤ PeakThreshold ×
-	// ResponseBytes (a buffered serve would sit at ≥ 1×).
-	SweepBodies    int     `json:"sweep_bodies,omitempty"`
-	SweepProfiles  int     `json:"sweep_profiles,omitempty"`
-	WallNsSpillOff []int64 `json:"wall_ns_spill_off,omitempty"`
-	WallNsSpillOn  []int64 `json:"wall_ns_spill_on,omitempty"`
-	SpillHits      uint64  `json:"spill_hits,omitempty"`
-	ResponseBytes  int64   `json:"response_bytes,omitempty"`
-	PeakBytes      int64   `json:"peak_bytes,omitempty"`
-	PeakThreshold  float64 `json:"peak_threshold,omitempty"`
-
-	// Restart-regime extras (see restart.go): per-sample raw counters from
-	// the reopened server — re-evaluations over the RestartKeys replayed
-	// point queries and the spill-hit count that must cover the keys it did
-	// not re-evaluate. Speedup for this regime is the certified hit rate
-	// 1 − ΣRestartReevals/(RestartKeys × Samples), gated at
-	// RestartHitThreshold; cmd/checkbench re-derives it from the arrays.
-	RestartKeys         int     `json:"restart_keys,omitempty"`
-	RestartReevals      []int64 `json:"restart_reevals,omitempty"`
-	RestartSpillHits    []int64 `json:"restart_spill_hits,omitempty"`
-	RestartHitThreshold float64 `json:"restart_hit_threshold,omitempty"`
-}
-
-// Report is the BENCH_serve.json document.
-type Report struct {
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Regimes    []RegimeResult `json:"regimes"`
-	Pass       bool           `json:"pass"`
 }
 
 func main() {
-	quick := flag.Bool("quick", false, "shrink every regime (smoke test; ratios not certified)")
+	quick := flag.Bool("quick", false, "shrink every regime (smoke test; not a certificate)")
 	fleetChaos := flag.Bool("fleet-chaos", false, "run only the fleet chaos drill: kill one replica mid-run and require every request to survive byte-identically (see `make chaos`)")
 	spillChaos := flag.Bool("spill-chaos", false, "run only the spill chaos drill: bit-flip every on-disk segment under a warm spill tier and require byte-identical fallback to evaluation (see `make chaos`)")
 	flag.Parse()
-	if *spillChaos {
-		rep := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Pass: true}
-		rep.Regimes = append(rep.Regimes, runSpillChaos())
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchserve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetChaos {
+	switch {
+	case *spillChaos:
+		printDrill(runSpillChaos())
+	case *fleetChaos:
 		if runtime.GOMAXPROCS(0) < 16 {
 			runtime.GOMAXPROCS(16)
 		}
-		rep := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Pass: true}
-		rep.Regimes = append(rep.Regimes, runFleetChaos())
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "benchserve:", err)
-			os.Exit(1)
-		}
-		return
+		printDrill(runFleetChaos())
+	default:
+		benchcert.Emit("benchserve", buildCert(*quick), *quick)
 	}
-	rep := buildReport(*quick)
+}
+
+// printDrill prints a chaos drill's result. A drill that returns at all
+// passed: every divergence or failed request panics.
+func printDrill(r RegimeResult) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
+	if err := enc.Encode(r); err != nil {
 		fmt.Fprintln(os.Stderr, "benchserve:", err)
-		os.Exit(1)
-	}
-	if !rep.Pass && !*quick {
-		fmt.Fprintln(os.Stderr, "benchserve: a speedup threshold was not met")
 		os.Exit(1)
 	}
 }
@@ -220,14 +149,15 @@ func defaultSizes(quick bool) sizes {
 		waves: 6, warmPerWave: 4, largeN: 1 << 16, largeIters: 10}
 }
 
-func buildReport(quick bool) Report {
+func buildCert(quick bool) *benchcert.Cert {
 	// The certificate is defined at GOMAXPROCS ≥ 8; force 16 so the herd
 	// regimes exercise real scheduler interleaving even on small hosts.
 	if runtime.GOMAXPROCS(0) < 16 {
 		runtime.GOMAXPROCS(16)
 	}
 	sz := defaultSizes(quick)
-	rep := Report{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Pass: true}
+	cert := &benchcert.Cert{Host: benchcert.ThisHost()}
+	var regimes []RegimeResult
 
 	newBaseline := func() *api.Server {
 		return api.NewServerCacheOpts(api.DefaultMeasureCacheSize, 1, false)
@@ -265,7 +195,7 @@ func buildReport(quick bool) Report {
 	} {
 		base := regime.run(newBaseline())
 		tuned := regime.run(newTuned())
-		r := RegimeResult{
+		regimes = append(regimes, RegimeResult{
 			Name:              regime.name,
 			Requests:          tuned.ops,
 			BaselineOpsPerSec: base.opsPerSec(),
@@ -273,51 +203,34 @@ func buildReport(quick bool) Report {
 			TunedP50Ms:        tuned.percentileMs(50),
 			TunedP99Ms:        tuned.percentileMs(99),
 			TunedAllocsPerOp:  tuned.allocsPerOp,
-			Threshold:         regime.threshold,
+		})
+		// Both sides serve the same requests, so baseline/tuned wall time
+		// is tuned/baseline throughput; mixed samples it per herd wave.
+		num, den := []float64{float64(base.wall)}, []float64{float64(tuned.wall)}
+		if base.waveNs != nil {
+			num, den = base.waveNs, tuned.waveNs
 		}
-		if r.BaselineOpsPerSec > 0 {
-			r.Speedup = r.TunedOpsPerSec / r.BaselineOpsPerSec
-		}
-		r.MeetsThreshold = regime.threshold == 0 || r.Speedup >= regime.threshold
-		if !r.MeetsThreshold {
-			rep.Pass = false
-		}
-		rep.Regimes = append(rep.Regimes, r)
+		cert.Claims = append(cert.Claims, benchcert.NewClaim(regime.name, benchcert.RatioOfSums, benchcert.AtLeast,
+			regime.threshold, num, den))
 	}
 
-	mc := runManyClients(quick)
-	if !mc.MeetsThreshold {
-		rep.Pass = false
+	for _, run := range []func(bool) (RegimeResult, []benchcert.Claim){runManyClients, runFleet, runSweep, runRestart} {
+		r, claims := run(quick)
+		regimes = append(regimes, r)
+		cert.Claims = append(cert.Claims, claims...)
 	}
-	rep.Regimes = append(rep.Regimes, mc)
-
-	fl := runFleet(quick)
-	if !fl.MeetsThreshold {
-		rep.Pass = false
-	}
-	rep.Regimes = append(rep.Regimes, fl)
-
-	sw := runSweep(quick)
-	if !sw.MeetsThreshold {
-		rep.Pass = false
-	}
-	rep.Regimes = append(rep.Regimes, sw)
-
-	rs := runRestart(quick)
-	if !rs.MeetsThreshold {
-		rep.Pass = false
-	}
-	rep.Regimes = append(rep.Regimes, rs)
-	return rep
+	cert.Report = regimes
+	return cert
 }
 
 // runManyClients certifies the admission batcher: per sample, the same
 // distinct-key sweep traffic is driven against a fresh tuned server without
-// coalescing and a fresh one with it, and the throughput ratio recorded.
-// The pairs are GC-leveled and the gate is the 95% CI low end over ≥ 5
-// samples, so one lucky run cannot certify and one noisy one cannot mask.
-func runManyClients(quick bool) RegimeResult {
-	clients, waves, n, samples := 256, 4, 1000, manyClientsSamples
+// coalescing and a fresh one with it, and the wall-time ratio recorded.
+// The pairs are GC-leveled and the gate is the 95% CI low end over
+// benchcert.MinSamples samples, so one lucky run cannot certify and one
+// noisy one cannot mask.
+func runManyClients(quick bool) (RegimeResult, []benchcert.Claim) {
+	clients, waves, n, samples := 256, 4, 1000, benchcert.MinSamples
 	if quick {
 		clients, waves, n, samples = 16, 2, 800, 2
 	}
@@ -337,7 +250,7 @@ func runManyClients(quick bool) RegimeResult {
 		}
 	}
 
-	ratios := make([]float64, 0, samples)
+	var baseNs, tunedNs []float64
 	var sumBase, sumTuned float64
 	var lastTuned loadStats
 	for k := 0; k < samples; k++ {
@@ -346,29 +259,23 @@ func runManyClients(quick bool) RegimeResult {
 		coalSrv.EnableCoalesce(api.CoalesceConfig{})
 		tuned := driveWaves(coalSrv, clients, queries)
 		coalSrv.CloseCoalesce()
-		if base.opsPerSec() > 0 {
-			ratios = append(ratios, tuned.opsPerSec()/base.opsPerSec())
-		}
+		baseNs = append(baseNs, float64(base.wall))
+		tunedNs = append(tunedNs, float64(tuned.wall))
 		sumBase += base.opsPerSec()
 		sumTuned += tuned.opsPerSec()
 		lastTuned = tuned
 	}
-	mean, lo, _ := meanCI95(ratios)
 	r := RegimeResult{
 		Name:              "many_clients",
 		Requests:          clients * waves,
 		BaselineOpsPerSec: sumBase / float64(samples),
 		TunedOpsPerSec:    sumTuned / float64(samples),
-		Speedup:           mean,
-		SpeedupCILow:      lo,
-		Samples:           len(ratios),
 		TunedP50Ms:        lastTuned.percentileMs(50),
 		TunedP99Ms:        lastTuned.percentileMs(99),
 		TunedAllocsPerOp:  lastTuned.allocsPerOp,
-		Threshold:         manyClientsThreshold,
 	}
-	r.MeetsThreshold = r.SpeedupCILow >= r.Threshold
-	return r
+	return r, []benchcert.Claim{benchcert.NewClaim("many_clients", benchcert.MeanCI95, benchcert.AtLeast,
+		manyClientsThreshold, baseNs, tunedNs)}
 }
 
 // driveWaves releases all clients together once per wave, one request each,
@@ -411,36 +318,11 @@ func driveWaves(s *api.Server, clients int, queries [][]string) loadStats {
 	return out
 }
 
-// meanCI95 returns the sample mean and its 95% Student-t confidence
-// interval (matching cmd/benchbatch's gate arithmetic).
-func meanCI95(xs []float64) (mean, lo, hi float64) {
-	n := len(xs)
-	mean = stats.Mean(xs)
-	if n < 2 {
-		return mean, mean, mean
-	}
-	sd := math.Sqrt(stats.Variance(xs) * float64(n) / float64(n-1)) // sample sd
-	half := tValue95(n-1) * sd / math.Sqrt(float64(n))
-	return mean, mean - half, mean + half
-}
-
-// tValue95 is the two-sided 95% Student-t critical value for df degrees of
-// freedom (df ≥ 8 rounds down to the asymptotic value).
-func tValue95(df int) float64 {
-	table := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306}
-	if df <= 0 {
-		return table[1]
-	}
-	if df < len(table) {
-		return table[df]
-	}
-	return 1.960
-}
-
 // loadStats aggregates one regime run on one server.
 type loadStats struct {
 	ops         int
 	wall        time.Duration
+	waveNs      []float64       // per herd wave, when the drive has waves that count as samples
 	latencies   []time.Duration // one per request, unsorted
 	allocsPerOp float64
 }
@@ -537,7 +419,9 @@ func driveMixed(s *api.Server, workers, waves, warmPerWave int, largeBase string
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
+	waveNs := make([]float64, 0, waves)
 	for v := 0; v < waves; v++ {
+		tv := time.Now()
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for w := 0; w < workers; w++ {
@@ -565,11 +449,12 @@ func driveMixed(s *api.Server, workers, waves, warmPerWave int, largeBase string
 		}
 		close(start)
 		wg.Wait()
+		waveNs = append(waveNs, float64(time.Since(tv)))
 	}
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&after)
 
-	out := loadStats{ops: workers * waves * perWave, wall: wall}
+	out := loadStats{ops: workers * waves * perWave, wall: wall, waveNs: waveNs}
 	for w := range lats {
 		out.latencies = append(out.latencies, lats[w]...)
 	}

@@ -11,19 +11,19 @@ package main
 // large streamed /v1/batch body, then shut down via CloseSpill (draining
 // the write-through queue and flushing still-resident entries). A second
 // server with an empty memory tier reopens the same directory and replays
-// the identical traffic. The certificate gates:
+// the identical traffic. The certificate claims, from raw per-sample
+// counters:
 //
-//   - re-evaluations: the reopened server's MeasureEvals over the K keys,
-//     recorded per sample; the certified hit rate is
-//     1 − Σreevals/(K × samples), gated at restartHitThreshold.
-//     cmd/checkbench re-derives the rate from the raw per-sample counter
-//     arrays and rejects a certificate whose summary disagrees;
-//   - byte identity: every replayed response — point and streamed batch —
-//     must equal the populate-time bytes exactly (divergence panics, so a
-//     certificate cannot exist for a byte-unfaithful restart);
-//   - provenance: per sample, the reopened server's spill-hit counter must
-//     cover every key it did not re-evaluate (the answers came from the
-//     reopened segments, not from some other warm path).
+//   - restart: the share of the K keys the reopened server answered
+//     without re-evaluating (K − MeasureEvals), summed over the samples,
+//     ≥ restartHitThreshold;
+//   - restart.spill_hits: in every sample the reopened server's spill-hit
+//     counter covers every key it did not re-evaluate (the answers came
+//     from the reopened segments, not from some other warm path).
+//
+// Byte identity is a precondition: every replayed response — point and
+// streamed batch — must equal the populate-time bytes exactly (divergence
+// panics, so a certificate cannot exist for a byte-unfaithful restart).
 
 import (
 	"bytes"
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/spill"
 )
 
@@ -41,7 +42,7 @@ import (
 // previously served keys a restarted server answers without re-evaluation.
 const restartHitThreshold = 0.9
 
-// restartSamples sits above cmd/checkbench's minSamples floor, like
+// restartSamples sits above the benchcert.MinSamples floor, like
 // sweepSamples and fleetSamples.
 const restartSamples = 7
 
@@ -77,8 +78,8 @@ func restartQuery(i int) string {
 }
 
 // runRestart runs the paired populate → drain → reopen → replay samples
-// and builds the certificate.
-func runRestart(quick bool) RegimeResult {
+// and builds the restart claims.
+func runRestart(quick bool) (RegimeResult, []benchcert.Claim) {
 	sz := restartDefaultSizes(quick)
 	tmp, err := os.MkdirTemp("", "benchserve-restart-")
 	if err != nil {
@@ -87,8 +88,7 @@ func runRestart(quick bool) RegimeResult {
 	defer os.RemoveAll(tmp)
 
 	streamBody := sweepBodies(1, 1024)[0]
-	reevals := make([]int64, 0, sz.samples)
-	spillHits := make([]int64, 0, sz.samples)
+	var keys, answered, spillHits []float64
 	var populateNs, replayNs int64
 	var lastLats []time.Duration
 	for k := 0; k < sz.samples; k++ {
@@ -140,45 +140,32 @@ func runRestart(quick bool) RegimeResult {
 			panic("benchserve: restart replay streamed batch diverged from the populate-time bytes")
 		}
 
-		re := int64(s2.MeasureEvals())
+		re := s2.MeasureEvals()
 		st := s2.SpillStatsNow()
 		if !st.WriteThrough {
 			panic("benchserve: restart server does not report write-through")
 		}
-		if int64(st.Hits) < int64(sz.keys)-re {
-			panic(fmt.Sprintf("benchserve: restart sample %d: %d spill hits cannot cover %d served keys (%d re-evals)",
-				k, st.Hits, sz.keys, re))
-		}
-		reevals = append(reevals, re)
-		spillHits = append(spillHits, int64(st.Hits))
+		keys = append(keys, float64(sz.keys))
+		answered = append(answered, float64(sz.keys)-float64(re))
+		spillHits = append(spillHits, float64(st.Hits))
 		s2.CloseSpill()
 		lastLats = lats
 		fmt.Fprintf(os.Stderr, "benchserve: restart sample %d/%d: keys=%d reevals=%d spill_hits=%d\n",
 			k+1, sz.samples, sz.keys, re, st.Hits)
 	}
 
-	var totalReevals int64
-	for _, re := range reevals {
-		totalReevals += re
-	}
-	totalKeys := int64(sz.keys) * int64(len(reevals))
-	hitRate := 1 - float64(totalReevals)/float64(totalKeys)
+	totalKeys := float64(sz.keys * sz.samples)
 	tuned := loadStats{ops: sz.keys, latencies: lastLats}
 	r := RegimeResult{
-		Name:                "restart",
-		Requests:            2 * (sz.keys + 1) * sz.samples,
-		BaselineOpsPerSec:   float64(totalKeys) * float64(time.Second) / float64(populateNs),
-		TunedOpsPerSec:      float64(totalKeys) * float64(time.Second) / float64(replayNs),
-		Speedup:             hitRate,
-		Samples:             len(reevals),
-		TunedP50Ms:          tuned.percentileMs(50),
-		TunedP99Ms:          tuned.percentileMs(99),
-		Threshold:           restartHitThreshold,
-		RestartKeys:         sz.keys,
-		RestartReevals:      reevals,
-		RestartSpillHits:    spillHits,
-		RestartHitThreshold: restartHitThreshold,
+		Name:              "restart",
+		Requests:          2 * (sz.keys + 1) * sz.samples,
+		BaselineOpsPerSec: totalKeys * float64(time.Second) / float64(populateNs),
+		TunedOpsPerSec:    totalKeys * float64(time.Second) / float64(replayNs),
+		TunedP50Ms:        tuned.percentileMs(50),
+		TunedP99Ms:        tuned.percentileMs(99),
 	}
-	r.MeetsThreshold = hitRate >= restartHitThreshold
-	return r
+	return r, []benchcert.Claim{
+		benchcert.NewClaim("restart", benchcert.RatioOfSums, benchcert.AtLeast, restartHitThreshold, answered, keys),
+		benchcert.NewClaim("restart.spill_hits", benchcert.Worst, benchcert.AtLeast, 1, spillHits, answered),
+	}
 }

@@ -12,17 +12,20 @@ package main
 // file and every later pass serves them straight from the segment reader.
 // Per sample both servers are fresh (the spill-on one with a fresh temp
 // dir), the same sweep runs warm then timed on each, and the certificate
-// gates three claims:
+// claims, from raw per-sample figures:
 //
-//   - wall clock: the 95% CI low end of the off/on wall-time ratio over
-//     ≥ 5 paired samples ≥ 2×, re-derived by cmd/checkbench from the raw
-//     per-sample nanosecond arrays;
-//   - byte identity: every response — rendered or spill-served — must
-//     hash identically to the first rendering (the golden sweep);
-//   - bounded memory: the sampled heap peak of serving one spill hit must
-//     stay ≤ sweepPeakRatioMax × the response size. A buffered serve
-//     holds the whole response (ratio ≥ 1), so clearing the gate certifies
-//     the fragment-by-fragment path end to end.
+//   - sweep: the 95% CI low end of the off/on wall-time ratio over ≥ 5
+//     paired samples ≥ 2×;
+//   - sweep.spill_hits: every timed request of every sample was a spill
+//     hit (hits / timed requests ≥ 1 in the worst sample);
+//   - sweep.peak: the sampled heap peak of serving one spill hit stays
+//     ≤ sweepPeakRatioMax × the response size in every sample. A buffered
+//     serve holds the whole response (ratio ≥ 1), so clearing the bound
+//     certifies the fragment-by-fragment path end to end.
+//
+// Byte identity is not a claim but a precondition: every response —
+// rendered or spill-served — must hash identically to the first rendering
+// (the golden sweep), or the run panics.
 
 import (
 	"context"
@@ -33,10 +36,10 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"hetero/internal/api"
+	"hetero/internal/benchcert"
 	"hetero/internal/spill"
 )
 
@@ -51,9 +54,8 @@ const sweepThreshold = 2.0
 // at ≥ 1×.
 const sweepPeakRatioMax = 0.5
 
-// sweepSamples sits above the benchstat-style floor (cmd/checkbench
-// rejects certificates below minSamples = 5) for a tighter Student-t
-// interval on a time-shared host, like fleetSamples.
+// sweepSamples sits above the benchcert.MinSamples floor (5) for a tighter
+// Student-t interval on a time-shared host, like fleetSamples.
 const sweepSamples = 7
 
 // sweepTimedPasses is how many whole sweeps one timed measurement spans.
@@ -169,12 +171,16 @@ func newSpillServer(dir string) *api.Server {
 	return s
 }
 
-// runSweep runs the paired sweep samples and builds the certificate.
-func runSweep(quick bool) RegimeResult {
+// runSweep runs the paired sweep samples and builds the sweep claims.
+func runSweep(quick bool) (RegimeResult, []benchcert.Claim) {
 	sz := sweepDefaultSizes(quick)
 	bodies := sweepBodies(sz.bodies, sz.profiles)
 	golden := make([]sweepGolden, len(bodies))
 	driveSweep(api.NewServer(), bodies, golden, true, 1) // golden digests, solo server
+	var responseBytes int64
+	for _, g := range golden {
+		responseBytes = max(responseBytes, g.n)
+	}
 
 	tmp, err := os.MkdirTemp("", "benchserve-sweep-")
 	if err != nil {
@@ -182,11 +188,8 @@ func runSweep(quick bool) RegimeResult {
 	}
 	defer os.RemoveAll(tmp)
 
-	offNs := make([]int64, 0, sz.samples)
-	onNs := make([]int64, 0, sz.samples)
-	ratios := make([]float64, 0, sz.samples)
-	var spillHits uint64
-	var peak uint64
+	timedReqs := len(bodies) * sweepTimedPasses
+	var offNs, onNs, hits, timed, peaks, resp []float64
 	var lastLats []time.Duration
 	for k := 0; k < sz.samples; k++ {
 		// Spill-off: the streaming path re-renders every pass by design.
@@ -200,15 +203,11 @@ func runSweep(quick bool) RegimeResult {
 		driveSweep(on, bodies, golden, false, 1) // warm: render + tee (synchronous commits)
 		hits0 := on.SpillStatsNow().Hits
 		wallOn, lats := driveSweep(on, bodies, golden, false, sweepTimedPasses)
-		st := on.SpillStatsNow()
-		if got := st.Hits - hits0; got < uint64(sweepTimedPasses*len(bodies)) {
-			panic(fmt.Sprintf("benchserve: sweep sample %d: only %d/%d spill hits in the timed passes",
-				k, got, sweepTimedPasses*len(bodies)))
-		}
-		spillHits += st.Hits - hits0
+		hits = append(hits, float64(on.SpillStatsNow().Hits-hits0))
+		timed = append(timed, float64(timedReqs))
 
 		// Sampled heap peak of one more spill-hit serve of body 0.
-		if p := measureSweepPeak(func() {
+		peaks = append(peaks, float64(benchcert.PeakHeap(func() {
 			w := &sweepHashWriter{}
 			if status, _, err := on.BatchBodyStream(context.Background(), w, bodies[0]); status != 200 || err != nil {
 				panic("benchserve: sweep peak drive failed")
@@ -216,35 +215,22 @@ func runSweep(quick bool) RegimeResult {
 			if w.h != golden[0].hash || w.n != golden[0].n {
 				panic("benchserve: sweep peak drive diverged from golden")
 			}
-		}); p > peak {
-			peak = p
-		}
+		})))
+		resp = append(resp, float64(responseBytes))
 		on.CloseSpill()
 
-		offNs = append(offNs, wallOff.Nanoseconds())
-		onNs = append(onNs, wallOn.Nanoseconds())
-		if wallOn > 0 {
-			ratio := float64(wallOff) / float64(wallOn)
-			ratios = append(ratios, ratio)
-			fmt.Fprintf(os.Stderr, "benchserve: sweep sample %d/%d: off=%s on=%s ratio=%.3f\n",
-				k+1, sz.samples, wallOff, wallOn, ratio)
-		}
+		offNs = append(offNs, float64(wallOff))
+		onNs = append(onNs, float64(wallOn))
+		fmt.Fprintf(os.Stderr, "benchserve: sweep sample %d/%d: off=%s on=%s ratio=%.3f\n",
+			k+1, sz.samples, wallOff, wallOn, float64(wallOff)/float64(wallOn))
 		lastLats = lats
 	}
 
-	mean, lo, _ := meanCI95(ratios)
-	responseBytes := golden[0].n
-	for _, g := range golden {
-		if g.n > responseBytes {
-			responseBytes = g.n
-		}
-	}
 	var sumOff, sumOn float64
 	for i := range offNs {
-		sumOff += float64(offNs[i])
-		sumOn += float64(onNs[i])
+		sumOff += offNs[i]
+		sumOn += onNs[i]
 	}
-	timedReqs := len(bodies) * sweepTimedPasses
 	perSweep := float64(timedReqs) * float64(time.Second)
 	tuned := loadStats{ops: timedReqs, latencies: lastLats}
 	r := RegimeResult{
@@ -252,66 +238,14 @@ func runSweep(quick bool) RegimeResult {
 		Requests:          timedReqs * 2 * sz.samples,
 		BaselineOpsPerSec: perSweep * float64(sz.samples) / sumOff,
 		TunedOpsPerSec:    perSweep * float64(sz.samples) / sumOn,
-		Speedup:           mean,
-		SpeedupCILow:      lo,
-		Samples:           len(ratios),
 		TunedP50Ms:        tuned.percentileMs(50),
 		TunedP99Ms:        tuned.percentileMs(99),
-		Threshold:         sweepThreshold,
-		SweepBodies:       sz.bodies,
-		SweepProfiles:     sz.profiles,
-		WallNsSpillOff:    offNs,
-		WallNsSpillOn:     onNs,
-		SpillHits:         spillHits,
-		ResponseBytes:     responseBytes,
-		PeakBytes:         int64(peak),
-		PeakThreshold:     sweepPeakRatioMax,
 	}
-	r.MeetsThreshold = r.SpeedupCILow >= r.Threshold &&
-		float64(r.PeakBytes) <= r.PeakThreshold*float64(r.ResponseBytes) &&
-		r.SpillHits >= uint64(sz.bodies*sweepTimedPasses*sz.samples)
-	return r
-}
-
-// measureSweepPeak runs fn while sampling runtime.MemStats.HeapAlloc and
-// returns the peak growth over the baseline (cmd/benchbatch's gate
-// arithmetic).
-func measureSweepPeak(fn func()) uint64 {
-	runtime.GC()
-	runtime.GC() // settle finalizer-freed memory so the baseline is stable
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	baseline := ms.HeapAlloc
-
-	var peak atomic.Uint64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var s runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			runtime.ReadMemStats(&s)
-			for {
-				p := peak.Load()
-				if s.HeapAlloc <= p || peak.CompareAndSwap(p, s.HeapAlloc) {
-					break
-				}
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	fn()
-	close(stop)
-	<-done
-	if p := peak.Load(); p > baseline {
-		return p - baseline
+	return r, []benchcert.Claim{
+		benchcert.NewClaim("sweep", benchcert.MeanCI95, benchcert.AtLeast, sweepThreshold, offNs, onNs),
+		benchcert.NewClaim("sweep.spill_hits", benchcert.Worst, benchcert.AtLeast, 1, hits, timed),
+		benchcert.NewClaim("sweep.peak", benchcert.Worst, benchcert.AtMost, sweepPeakRatioMax, peaks, resp),
 	}
-	return 0
 }
 
 // runSpillChaos is the `make chaos` spill run: a warm spill store has
@@ -379,6 +313,5 @@ func runSpillChaos() RegimeResult {
 		Name:           "spill_chaos",
 		Requests:       len(bodies) * 3,
 		TunedOpsPerSec: float64(len(bodies)) / wall.Seconds(),
-		MeetsThreshold: true, // availability regime: reaching here means every byte matched
 	}
 }

@@ -1,62 +1,35 @@
-// Command checkbench guards the repository's benchmark certificates. Each
-// BENCH_*.json document is produced by its generator (cmd/benchincr,
-// cmd/benchfault, cmd/benchserve, cmd/benchbatch) with a top-level "pass"
-// flag that encodes that generator's acceptance thresholds; checkbench
-// verifies every document exists, parses, and passed, and exits non-zero
-// otherwise — the hook `make check` uses to fail a build whose perf claims
-// regressed.
-//
-// Regimes that carry benchstat-style evidence ("samples" and
-// "speedup_ci_low" fields) are held to the stronger gate: at least
-// minSamples samples, and the low end of the 95% confidence interval — not
-// the mean — must clear the threshold. A certificate generated with -quick
-// (too few samples) therefore cannot pass a thresholded regime, and a
-// hand-edited mean cannot mask a noisy run.
-//
-// Certificates are additionally compared against the committed previous
-// certificate of the same name in -history (default bench_history/), when
-// one exists. Two history gates apply: a document carrying a "memory" regime
-// (cmd/benchbatch's bounded-peak-memory certificate) may not grow its
-// streamed peak more than 20% over the committed one, and any thresholded
-// regime (cmd/benchserve's herd regimes, cmd/benchbatch's few_large) may not
-// drop its speedup below 70% of the committed value. Either way a change
-// that quietly regresses — while still clearing the absolute threshold —
-// fails the build until the committed history is deliberately updated.
+// Command checkbench guards the repository's benchmark certificates. It
+// loads each BENCH_*.json document and the committed certificate of the
+// same name under -history (default bench_history/), and runs
+// internal/benchcert's Check over the pair — the same routine each
+// generator (cmd/benchincr, cmd/benchfault, cmd/benchserve, cmd/benchbatch)
+// takes its exit status from. Check re-derives every claim from its raw
+// samples, gates thresholds, and holds gated claims against the committed
+// history of the same host shape; see DESIGN.md "Benchmark certificates".
+// It exits non-zero on any failure — the hook `make check` uses to fail a
+// build whose perf claims regressed.
 //
 //	go run ./cmd/checkbench                  # checks the default documents
 //	go run ./cmd/checkbench A.json B.json    # checks an explicit list
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"math"
+	"io/fs"
 	"os"
 	"path/filepath"
+
+	"hetero/internal/benchcert"
 )
 
 // defaultDocs are the certificates `make bench` regenerates.
 var defaultDocs = []string{"BENCH_incr.json", "BENCH_fault.json", "BENCH_serve.json", "BENCH_batch.json"}
 
-// minSamples is the benchstat-style floor for confidence-interval regimes,
-// matching cmd/benchbatch.
-const minSamples = 5
-
-// maxPeakGrowth bounds the streamed peak against the committed history:
-// current peak_stream_bytes may be at most 1.2× the committed value.
-const maxPeakGrowth = 1.20
-
-// minSpeedupKeep bounds thresholded regimes against the committed history:
-// a regime's speedup may not fall below this fraction of the committed
-// value. The slack absorbs run-to-run noise (the absolute threshold already
-// guards correctness) while still catching a change that, say, halves the
-// coalescing win without tripping the 2× floor.
-const minSpeedupKeep = 0.70
-
 func main() {
 	history := flag.String("history", "bench_history",
-		"directory of committed prior certificates for the peak-memory regression gate (empty disables)")
+		"directory of committed certificates the current claims are held against (empty disables)")
 	flag.Parse()
 	docs := flag.Args()
 	if len(docs) == 0 {
@@ -64,12 +37,7 @@ func main() {
 	}
 	failures := 0
 	for _, path := range docs {
-		if err := checkDoc(path); err != nil {
-			fmt.Fprintf(os.Stderr, "checkbench: %s: %v\n", path, err)
-			failures++
-			continue
-		}
-		if err := checkHistory(path, *history); err != nil {
+		if err := checkDoc(path, *history); err != nil {
 			fmt.Fprintf(os.Stderr, "checkbench: %s: %v\n", path, err)
 			failures++
 			continue
@@ -83,451 +51,21 @@ func main() {
 	}
 }
 
-// checkDoc validates one certificate: it must parse as a JSON object whose
-// "pass" field is boolean true, and every regime entry must satisfy
-// checkRegime — so a hand-edited pass flag cannot mask a failed regime.
-func checkDoc(path string) error {
-	raw, err := os.ReadFile(path)
+// checkDoc checks the certificate at path against its committed namesake
+// in historyDir. No history directory, or no committed certificate of that
+// name, leaves nothing to compare against.
+func checkDoc(path, historyDir string) error {
+	cur, err := benchcert.Load(path)
 	if err != nil {
 		return err
 	}
-	var doc map[string]interface{}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("not valid JSON: %w", err)
-	}
-	pass, ok := doc["pass"].(bool)
-	if !ok {
-		return fmt.Errorf(`missing boolean "pass" field`)
-	}
-	if !pass {
-		return fmt.Errorf("certificate reports pass = false")
-	}
-	if regimes, ok := doc["regimes"].([]interface{}); ok {
-		for _, r := range regimes {
-			regime, ok := r.(map[string]interface{})
-			if !ok {
-				return fmt.Errorf("malformed regimes entry")
-			}
-			if err := checkRegime(regime); err != nil {
-				return err
-			}
+	var committed *benchcert.Cert
+	if historyDir != "" {
+		prev := filepath.Join(historyDir, filepath.Base(path))
+		committed, err = benchcert.Load(prev)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("committed history %s: %w", prev, err)
 		}
 	}
-	if mem, ok := doc["memory"].(map[string]interface{}); ok {
-		if err := checkMemory(mem); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkMemory validates the bounded-peak-memory regime: meets_threshold must
-// be true and the ratio is re-derived from the raw peaks rather than
-// trusted, so a hand-edited flag cannot mask a blown memory budget.
-func checkMemory(mem map[string]interface{}) error {
-	if met, ok := mem["meets_threshold"].(bool); !ok || !met {
-		return fmt.Errorf("memory regime misses its threshold")
-	}
-	streamPeak, okS := mem["peak_stream_bytes"].(float64)
-	bufPeak, okB := mem["peak_buffered_bytes"].(float64)
-	threshold, okT := mem["ratio_threshold"].(float64)
-	if !okS || !okB || !okT || bufPeak <= 0 || threshold <= 0 {
-		return fmt.Errorf("memory regime missing peak or threshold fields")
-	}
-	if ratio := streamPeak / bufPeak; ratio > threshold {
-		return fmt.Errorf("memory regime: peak ratio %.3f exceeds threshold %.3f", ratio, threshold)
-	}
-	return nil
-}
-
-// checkHistory compares a certificate against the committed previous
-// certificate of the same name in dir: peak memory may not grow beyond
-// maxPeakGrowth, and no thresholded regime's speedup may fall below
-// minSpeedupKeep of the committed value. Absent history (no directory, no
-// prior document, no comparable regime on the committed side) passes — the
-// gate only ever tightens when the committed side carries evidence.
-func checkHistory(path, dir string) error {
-	if dir == "" {
-		return nil
-	}
-	committed := filepath.Join(dir, filepath.Base(path))
-	if prev, ok := memoryPeakOf(committed); ok {
-		cur, ok := memoryPeakOf(path)
-		if !ok {
-			return fmt.Errorf("committed history has a memory regime but the current certificate does not")
-		}
-		if cur > prev*maxPeakGrowth {
-			return fmt.Errorf("peak_stream_bytes %.0f regressed more than %d%% over the committed %.0f (update %s if intended)",
-				cur, int(maxPeakGrowth*100)-100, prev, committed)
-		}
-	}
-	prevSpeedups := speedupsOf(committed)
-	if len(prevSpeedups) == 0 {
-		return nil
-	}
-	curSpeedups := speedupsOf(path)
-	for name, prev := range prevSpeedups {
-		cur, ok := curSpeedups[name]
-		if !ok {
-			return fmt.Errorf("committed history certifies regime %q but the current certificate dropped it", name)
-		}
-		if cur < prev*minSpeedupKeep {
-			return fmt.Errorf("regime %q: speedup %.3f fell below %d%% of the committed %.3f (update %s if intended)",
-				name, cur, int(minSpeedupKeep*100), prev, committed)
-		}
-	}
-	return nil
-}
-
-// speedupsOf reads a certificate's thresholded regimes as name → speedup.
-// Only regimes carrying both a positive threshold and a positive speedup
-// participate in the history gate — report-only regimes (no threshold) may
-// drift freely. cmd/benchincr's "speedup_search" entries (keyed by cluster
-// size rather than name) fold in as "speedup_search_n<N>", so BENCH_incr
-// joins the history gate alongside the named regimes. An absent or
-// malformed file reads as no regimes.
-func speedupsOf(path string) map[string]float64 {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var doc struct {
-		Regimes []struct {
-			Name      string  `json:"name"`
-			Threshold float64 `json:"threshold"`
-			Speedup   float64 `json:"speedup"`
-		} `json:"regimes"`
-		Search []struct {
-			N         int     `json:"n"`
-			Threshold float64 `json:"threshold"`
-			Speedup   float64 `json:"speedup"`
-		} `json:"speedup_search"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, r := range doc.Regimes {
-		if r.Threshold > 0 && r.Speedup > 0 {
-			out[r.Name] = r.Speedup
-		}
-	}
-	for _, r := range doc.Search {
-		if r.Threshold > 0 && r.Speedup > 0 {
-			out[fmt.Sprintf("speedup_search_n%d", r.N)] = r.Speedup
-		}
-	}
-	return out
-}
-
-// memoryPeakOf reads a certificate's memory.peak_stream_bytes; ok = false
-// when the file is absent or carries no usable memory regime.
-func memoryPeakOf(path string) (float64, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, false
-	}
-	var doc struct {
-		Memory *struct {
-			PeakStreamBytes float64 `json:"peak_stream_bytes"`
-		} `json:"memory"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil || doc.Memory == nil || doc.Memory.PeakStreamBytes <= 0 {
-		return 0, false
-	}
-	return doc.Memory.PeakStreamBytes, true
-}
-
-// checkRegime validates one regime entry. Every regime must report
-// meets_threshold = true (when present). Regimes carrying
-// confidence-interval evidence are re-derived from the raw fields rather
-// than trusted: samples ≥ minSamples and speedup_ci_low ≥ threshold.
-// Elastic-churn regimes (cmd/benchfault) carry raw useful-work sums and
-// are re-derived the same way — see checkChurnRegime.
-func checkRegime(regime map[string]interface{}) error {
-	name := regime["name"]
-	if met, ok := regime["meets_threshold"].(bool); ok && !met {
-		return fmt.Errorf("regime %v misses its threshold", name)
-	}
-	if _, isChurn := regime["useful_replan"]; isChurn {
-		return checkChurnRegime(regime)
-	}
-	if _, isRestart := regime["restart_reevals"]; isRestart {
-		// Restart regime: no CI gate (the metric is a hit rate, not a
-		// ratio distribution), so the re-derivation below is the whole
-		// gate.
-		return checkRestartRegime(regime)
-	}
-	if _, isFleet := regime["fleet_evals"]; isFleet {
-		// The amplification gate is extra; the fleet regime then falls
-		// through to the ordinary CI gate below for its wall-clock claim.
-		if err := checkFleetRegime(regime); err != nil {
-			return err
-		}
-	}
-	if _, isSweep := regime["wall_ns_spill_on"]; isSweep {
-		// The raw wall-clock re-derivation and the peak-memory gate are
-		// extra; the sweep regime then falls through to the ordinary CI
-		// gate below.
-		if err := checkSweepRegime(regime); err != nil {
-			return err
-		}
-	}
-	threshold, hasThreshold := regime["threshold"].(float64)
-	ciLow, hasCI := regime["speedup_ci_low"].(float64)
-	if !hasCI {
-		return nil // fixed-threshold document (older generators)
-	}
-	samples, ok := regime["samples"].(float64)
-	if !ok {
-		return fmt.Errorf("regime %v has a confidence interval but no sample count", name)
-	}
-	if !hasThreshold || threshold <= 0 {
-		return nil // report-only regime
-	}
-	if int(samples) < minSamples {
-		return fmt.Errorf("regime %v certified from %d samples, need ≥ %d (was it generated with -quick?)",
-			name, int(samples), minSamples)
-	}
-	if ciLow < threshold {
-		return fmt.Errorf("regime %v: speedup CI low %.3f misses threshold %.3f", name, ciLow, threshold)
-	}
-	return nil
-}
-
-// checkFleetRegime validates cmd/benchserve's distributed-cache-tier regime.
-// The hit-amplification claim is re-derived from the raw evaluation counters
-// rather than trusted: amplification must equal fleet_evals /
-// (distinct_keys × samples) and sit within amp_threshold, and the no-peer
-// baseline must actually have paid near one cold evaluation per replica per
-// key (≥ 75% of replicas) — otherwise the wall-clock ratio was measured
-// against a baseline that wasn't doing the work the certificate claims.
-func checkFleetRegime(regime map[string]interface{}) error {
-	name := regime["name"]
-	evals, okE := regime["fleet_evals"].(float64)
-	baseEvals, okB := regime["baseline_evals"].(float64)
-	keys, okK := regime["distinct_keys"].(float64)
-	samples, okS := regime["samples"].(float64)
-	ampMax, okT := regime["amp_threshold"].(float64)
-	replicas, okR := regime["replicas"].(float64)
-	if !okE || !okB || !okK || !okS || !okT || !okR ||
-		keys <= 0 || samples <= 0 || ampMax <= 0 || replicas < 2 {
-		return fmt.Errorf("regime %v missing raw fleet fields", name)
-	}
-	if int(samples) < minSamples {
-		return fmt.Errorf("regime %v certified from %d samples, need ≥ %d (was it generated with -quick?)",
-			name, int(samples), minSamples)
-	}
-	derived := evals / (keys * samples)
-	if reported, ok := regime["amplification"].(float64); ok &&
-		!(derived <= reported*1.001+1e-9 && derived >= reported*0.999-1e-9) {
-		return fmt.Errorf("regime %v: reported amplification %.3f disagrees with raw counters (%.3f)",
-			name, reported, derived)
-	}
-	if derived > ampMax {
-		return fmt.Errorf("regime %v: hit amplification %.3f exceeds threshold %.3f", name, derived, ampMax)
-	}
-	if baseAmp := baseEvals / (keys * samples); baseAmp < 0.75*replicas {
-		return fmt.Errorf("regime %v: baseline amplification %.3f is below 0.75× replicas (%.0f) — the no-peer baseline did not pay its cold misses",
-			name, baseAmp, replicas)
-	}
-	return nil
-}
-
-// checkSweepRegime validates cmd/benchserve's on-disk spill-tier regime.
-// Nothing is trusted: the per-sample off/on wall-time ratios are re-derived
-// from the raw nanosecond arrays and their mean and 95% CI low end must
-// agree with the reported speedup and speedup_ci_low within 0.1% (so a
-// forged summary cannot pass), the sample count is the array length itself
-// (so a -quick run cannot certify), the served-from-disk claim is checked
-// against the raw spill-hit counter, and the bounded-memory claim is
-// re-derived as peak_bytes ≤ peak_threshold × response_bytes.
-func checkSweepRegime(regime map[string]interface{}) error {
-	name := regime["name"]
-	off, okO := floatsOf(regime["wall_ns_spill_off"])
-	on, okN := floatsOf(regime["wall_ns_spill_on"])
-	if !okO || !okN || len(off) == 0 || len(off) != len(on) {
-		return fmt.Errorf("regime %v: malformed raw wall-clock arrays", name)
-	}
-	if len(on) < minSamples {
-		return fmt.Errorf("regime %v certified from %d samples, need ≥ %d (was it generated with -quick?)",
-			name, len(on), minSamples)
-	}
-	ratios := make([]float64, len(on))
-	for i := range on {
-		if on[i] <= 0 || off[i] <= 0 {
-			return fmt.Errorf("regime %v: non-positive wall clock in sample %d", name, i)
-		}
-		ratios[i] = off[i] / on[i]
-	}
-	mean, lo := meanCI95Low(ratios)
-	if reported, ok := regime["speedup"].(float64); ok &&
-		!(mean <= reported*1.001 && mean >= reported*0.999) {
-		return fmt.Errorf("regime %v: reported speedup %.3f disagrees with raw wall clocks (%.3f)",
-			name, reported, mean)
-	}
-	if reported, ok := regime["speedup_ci_low"].(float64); ok &&
-		!(lo <= reported*1.001+1e-9 && lo >= reported*0.999-1e-9) {
-		return fmt.Errorf("regime %v: reported speedup_ci_low %.3f disagrees with raw wall clocks (%.3f)",
-			name, reported, lo)
-	}
-	bodies, okB := regime["sweep_bodies"].(float64)
-	hits, okH := regime["spill_hits"].(float64)
-	if !okB || !okH || bodies <= 0 {
-		return fmt.Errorf("regime %v missing raw spill-hit fields", name)
-	}
-	if hits < bodies*float64(len(on)) {
-		return fmt.Errorf("regime %v: %0.f spill hits cannot cover %0.f bodies × %d samples — the timed passes were not served from disk",
-			name, hits, bodies, len(on))
-	}
-	peak, okP := regime["peak_bytes"].(float64)
-	resp, okR := regime["response_bytes"].(float64)
-	ratioMax, okT := regime["peak_threshold"].(float64)
-	if !okP || !okR || !okT || resp <= 0 || ratioMax <= 0 {
-		return fmt.Errorf("regime %v missing peak-memory fields", name)
-	}
-	if peak > ratioMax*resp {
-		return fmt.Errorf("regime %v: spill-hit heap peak %.0f exceeds %.2f× the %.0f-byte response — the streamed serve is not bounded",
-			name, peak, ratioMax, resp)
-	}
-	return nil
-}
-
-// checkRestartRegime validates cmd/benchserve's warm-restart durability
-// regime. Nothing is trusted: the hit rate is re-derived from the raw
-// per-sample re-evaluation counters as 1 − Σreevals/(keys × samples) and
-// must agree with the reported speedup within 0.1% (so a forged summary
-// cannot pass), the sample count is the array length itself (so a -quick
-// run cannot certify), and every sample's spill-hit counter must cover the
-// keys it did not re-evaluate (so the answers provably came from the
-// reopened segments rather than some other warm path).
-func checkRestartRegime(regime map[string]interface{}) error {
-	name := regime["name"]
-	reevals, okR := floatsOf(regime["restart_reevals"])
-	hits, okH := floatsOf(regime["restart_spill_hits"])
-	keys, okK := regime["restart_keys"].(float64)
-	threshold, okT := regime["restart_hit_threshold"].(float64)
-	if !okR || !okH || !okK || !okT || keys <= 0 || threshold <= 0 ||
-		len(reevals) == 0 || len(reevals) != len(hits) {
-		return fmt.Errorf("regime %v missing raw restart fields", name)
-	}
-	if len(reevals) < minSamples {
-		return fmt.Errorf("regime %v certified from %d samples, need ≥ %d (was it generated with -quick?)",
-			name, len(reevals), minSamples)
-	}
-	if samples, ok := regime["samples"].(float64); ok && int(samples) != len(reevals) {
-		return fmt.Errorf("regime %v: reported %d samples but carries %d raw samples",
-			name, int(samples), len(reevals))
-	}
-	var total float64
-	for i, re := range reevals {
-		if re < 0 || re > keys {
-			return fmt.Errorf("regime %v: sample %d re-evaluations %.0f outside [0, %.0f]", name, i, re, keys)
-		}
-		if hits[i] < keys-re {
-			return fmt.Errorf("regime %v: sample %d spill hits %.0f cannot cover %.0f keys at %.0f re-evals — the replay was not served from the reopened segments",
-				name, i, hits[i], keys, re)
-		}
-		total += re
-	}
-	derived := 1 - total/(keys*float64(len(reevals)))
-	if reported, ok := regime["speedup"].(float64); ok &&
-		!(derived <= reported*1.001+1e-9 && derived >= reported*0.999-1e-9) {
-		return fmt.Errorf("regime %v: reported hit rate %.3f disagrees with raw counters (%.3f)",
-			name, reported, derived)
-	}
-	if derived < threshold {
-		return fmt.Errorf("regime %v: restart hit rate %.3f misses threshold %.3f", name, derived, threshold)
-	}
-	return nil
-}
-
-// floatsOf reads a JSON array field as float64s.
-func floatsOf(v interface{}) ([]float64, bool) {
-	arr, ok := v.([]interface{})
-	if !ok {
-		return nil, false
-	}
-	out := make([]float64, len(arr))
-	for i, e := range arr {
-		f, ok := e.(float64)
-		if !ok {
-			return nil, false
-		}
-		out[i] = f
-	}
-	return out, true
-}
-
-// meanCI95Low re-derives the sample mean and the low end of its 95%
-// Student-t confidence interval, matching the generators' arithmetic
-// (cmd/benchserve, cmd/benchbatch).
-func meanCI95Low(xs []float64) (mean, lo float64) {
-	n := len(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean = sum / float64(n)
-	if n < 2 {
-		return mean, mean
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	return mean, mean - tValue95(n-1)*sd/math.Sqrt(float64(n))
-}
-
-// tValue95 is the two-sided 95% Student-t critical value for df degrees
-// of freedom (df ≥ 8 rounds down to the asymptotic value), matching
-// cmd/benchserve.
-func tValue95(df int) float64 {
-	table := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306}
-	if df <= 0 {
-		return table[1]
-	}
-	if df < len(table) {
-		return table[df]
-	}
-	return 1.960
-}
-
-// checkChurnRegime validates cmd/benchfault's elastic-churn robustness
-// regime. Nothing is trusted: the useful-work ratio is re-derived from the
-// raw sums (so a forged "speedup" cannot pass), the seed pool must be at
-// least minSamples (so a thinned run cannot pass), and the scheme's
-// fault-free duplication overhead must sit within its own threshold.
-func checkChurnRegime(regime map[string]interface{}) error {
-	name := regime["name"]
-	replan, okR := regime["useful_replan"].(float64)
-	redundant, okD := regime["useful_redundant"].(float64)
-	threshold, okT := regime["threshold"].(float64)
-	seeds, okS := regime["seeds"].(float64)
-	if !okR || !okD || !okT || !okS || threshold <= 0 {
-		return fmt.Errorf("regime %v missing raw churn fields", name)
-	}
-	if int(seeds) < minSamples {
-		return fmt.Errorf("regime %v certified from %d seeds, need ≥ %d", name, int(seeds), minSamples)
-	}
-	if replan <= 0 {
-		return fmt.Errorf("regime %v reports no replan salvage to compare against", name)
-	}
-	derived := redundant / replan
-	if reported, ok := regime["speedup"].(float64); ok && !(derived <= reported*1.001 && derived >= reported*0.999) {
-		return fmt.Errorf("regime %v: reported speedup %.3f disagrees with raw ratio %.3f", name, reported, derived)
-	}
-	if derived < threshold {
-		return fmt.Errorf("regime %v: useful-work ratio %.3f misses threshold %.3f", name, derived, threshold)
-	}
-	overhead, okO := regime["empty_plan_overhead"].(float64)
-	overheadMax, okM := regime["overhead_threshold"].(float64)
-	if !okO || !okM || overheadMax <= 0 {
-		return fmt.Errorf("regime %v missing overhead fields", name)
-	}
-	if overhead > overheadMax*(1+1e-9) {
-		return fmt.Errorf("regime %v: empty-plan overhead %.3f exceeds %.3f", name, overhead, overheadMax)
-	}
-	return nil
+	return benchcert.Check(cur, committed)
 }

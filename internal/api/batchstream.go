@@ -292,8 +292,8 @@ func (s *Server) renderFragment(m model.Params, f *fragment, workers int, buf *[
 		f.body, f.scratch = *buf, true
 		return
 	}
-	f.body, _, _, _ = fill(s.cache, f.h, f.key, func() ([]byte, int64, error) {
-		return appendFragment(nil, m, f.p, workers), 0, nil
+	f.body, _, _, _ = fill(s.cache, f.h, f.key, func() ([]byte, int64, bool, error) {
+		return appendFragment(nil, m, f.p, workers), 0, false, nil
 	})
 }
 

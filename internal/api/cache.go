@@ -192,6 +192,9 @@ type cacheEntry struct {
 	// here, so a hit never re-parses the body to recover it). Zero for
 	// layers that don't use it.
 	meta int64
+	// onDisk marks a body promoted from the spill tier, which already
+	// holds it: neither sink offers it back.
+	onDisk bool
 }
 
 // entryCost is the resident byte cost charged against the byte budget.
@@ -397,17 +400,19 @@ func get[K cacheKey](c *responseCache, h uint64, key K) (body []byte, meta int64
 // fill completes a miss: it re-checks the entry under the shard lock, joins
 // an in-flight computation for the same key when coalescing is on, or runs
 // compute itself and publishes the body with its meta value, which every
-// later hit and waiter gets back. The returned coalesced flag reports that
-// this call waited on another goroutine's evaluation. Errors are propagated
-// to every waiter and nothing is cached. A []byte key is copied once, for
-// the flight table and the entry.
-func fill[K cacheKey](c *responseCache, h uint64, key K, compute func() ([]byte, int64, error)) (body []byte, meta int64, coalesced bool, err error) {
+// later hit and waiter gets back. compute also reports whether the body
+// came from the spill tier (onDisk), so the entry is never offered back to
+// it. The returned coalesced flag reports that this call waited on another
+// goroutine's evaluation. Errors are propagated to every waiter and nothing
+// is cached. A []byte key is copied once, for the flight table and the
+// entry.
+func fill[K cacheKey](c *responseCache, h uint64, key K, compute func() (body []byte, meta int64, onDisk bool, err error)) (body []byte, meta int64, coalesced bool, err error) {
 	sh := c.shard(h)
 	sh.mu.Lock()
 	if c.capacity <= 0 {
 		sh.misses++
 		sh.mu.Unlock()
-		body, meta, err = compute()
+		body, meta, _, err = compute()
 		return body, meta, false, err
 	}
 	if el, ok := sh.entries[string(key)]; ok {
@@ -430,14 +435,14 @@ func fill[K cacheKey](c *responseCache, h uint64, key K, compute func() ([]byte,
 	}
 	sh.mu.Unlock()
 
-	body, meta, err = compute()
+	body, meta, onDisk, err := compute()
 
 	sh.mu.Lock()
 	if fc != nil {
 		delete(sh.flight, k)
 	}
 	if err == nil {
-		sh.insertLocked(k, body, meta)
+		sh.insertLocked(k, body, meta, onDisk)
 	}
 	sh.mu.Unlock()
 	if fc != nil {
@@ -455,7 +460,7 @@ func put[K cacheKey](c *responseCache, key K, body []byte) {
 	}
 	sh := c.shard(hashKey(key))
 	sh.mu.Lock()
-	sh.insertLocked(string(key), body, 0)
+	sh.insertLocked(string(key), body, 0, false)
 	sh.mu.Unlock()
 }
 
@@ -464,8 +469,10 @@ func put[K cacheKey](c *responseCache, key K, body []byte) {
 // the cold end while either the entry bound or the byte budget is exceeded.
 // An entry whose own cost exceeds the shard's whole byte budget is rejected
 // (and any stale entry under the key removed) instead of admitted to evict
-// everything else. Callers hold sh.mu.
-func (sh *cacheShard) insertLocked(key string, body []byte, meta int64) {
+// everything else. A body onDisk (promoted from the spill tier) reaches
+// neither the write-through sink nor, later, the evict sink. Callers hold
+// sh.mu.
+func (sh *cacheShard) insertLocked(key string, body []byte, meta int64, onDisk bool) {
 	cost := entryCost(key, body)
 	if sh.byteBudget > 0 && cost > sh.byteBudget {
 		if el, ok := sh.entries[key]; ok {
@@ -479,12 +486,13 @@ func (sh *cacheShard) insertLocked(key string, body []byte, meta int64) {
 		sh.bytes += int64(len(body)) - int64(len(e.body))
 		e.body = body
 		e.meta = meta
+		e.onDisk = onDisk
 		sh.order.MoveToFront(el)
 	} else {
-		sh.entries[key] = sh.order.PushFront(&cacheEntry{key: key, body: body, meta: meta})
+		sh.entries[key] = sh.order.PushFront(&cacheEntry{key: key, body: body, meta: meta, onDisk: onDisk})
 		sh.bytes += cost
 	}
-	if sh.wsink != nil {
+	if sh.wsink != nil && !onDisk {
 		sh.wsink(key, body)
 	}
 	for sh.order.Len() > sh.capacity || (sh.byteBudget > 0 && sh.bytes > sh.byteBudget) {
@@ -492,8 +500,7 @@ func (sh *cacheShard) insertLocked(key string, body []byte, meta int64) {
 		if oldest == nil {
 			break
 		}
-		if sh.sink != nil {
-			e := oldest.Value.(*cacheEntry)
+		if e := oldest.Value.(*cacheEntry); sh.sink != nil && !e.onDisk {
 			sh.sink(e.key, e.body)
 		}
 		sh.removeLocked(oldest)

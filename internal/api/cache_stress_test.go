@@ -47,10 +47,10 @@ func TestSingleflightExactlyOnceUnderSkew(t *testing.T) {
 				if !ok {
 					var coalesced bool
 					var err error
-					body, _, coalesced, err = fill(c, h, key, func() ([]byte, int64, error) {
+					body, _, coalesced, err = fill(c, h, key, func() ([]byte, int64, bool, error) {
 						evals[k].Add(1)
 						time.Sleep(time.Millisecond) // widen the coalescing window
-						return []byte(want), 0, nil
+						return []byte(want), 0, false, nil
 					})
 					_ = coalesced
 					if err != nil {
@@ -99,9 +99,9 @@ func TestSingleflightReevaluatesAfterEviction(t *testing.T) {
 		if _, _, ok := get(c, h, kb); ok {
 			return
 		}
-		if _, _, _, err := fill(c, h, kb, func() ([]byte, int64, error) {
+		if _, _, _, err := fill(c, h, kb, func() ([]byte, int64, bool, error) {
 			evals.Add(1)
-			return []byte(key), 0, nil
+			return []byte(key), 0, false, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +146,8 @@ func TestShardedCacheConcurrentEvictionBounds(t *testing.T) {
 				body, _, ok := get(c, h, key)
 				if !ok {
 					var err error
-					body, _, _, err = fill(c, h, key, func() ([]byte, int64, error) {
-						return []byte(want), 0, nil
+					body, _, _, err = fill(c, h, key, func() ([]byte, int64, bool, error) {
+						return []byte(want), 0, false, nil
 					})
 					if err != nil {
 						t.Errorf("fill: %v", err)
@@ -199,10 +199,10 @@ func TestSingleflightPropagatesErrorsWithoutCaching(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _, err := fill(c, h, key, func() ([]byte, int64, error) {
+		_, _, _, err := fill(c, h, key, func() ([]byte, int64, bool, error) {
 			close(started)
 			<-release
-			return nil, 0, fmt.Errorf("boom")
+			return nil, 0, false, fmt.Errorf("boom")
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("winner error = %v", err)
@@ -215,8 +215,8 @@ func TestSingleflightPropagatesErrorsWithoutCaching(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, coalesced, err := fill(c, h, key, func() ([]byte, int64, error) {
-				return nil, 0, fmt.Errorf("boom")
+			_, _, coalesced, err := fill(c, h, key, func() ([]byte, int64, bool, error) {
+				return nil, 0, false, fmt.Errorf("boom")
 			})
 			if err == nil {
 				t.Error("waiter got nil error")

@@ -109,6 +109,71 @@ func TestSpillMeasureEvictRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSpillPromotionIsNotOfferedBack: a body promoted from the spill tier
+// is already on disk, so under write-through it must be offered back
+// neither when the fill inserts it nor when it is evicted again. Computed
+// bodies still reach the sinks as before.
+func TestSpillPromotionIsNotOfferedBack(t *testing.T) {
+	st, err := spill.Open(spill.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerWithCache(CacheConfig{Entries: 256, MaxBytes: 700, Shards: 1, Coalesce: true})
+	s.EnableSpillOptions(st, SpillOptions{WriteThrough: true})
+	t.Cleanup(s.CloseSpill)
+	// The sinks run synchronously on the requesting goroutine, under the
+	// shard lock; the requests below are sequential.
+	var offers []string
+	sh := &s.cache.shards[0]
+	evict, insert := sh.sink, sh.wsink
+	s.cache.setSinks(func(key string, body []byte) {
+		offers = append(offers, "evict "+key)
+		evict(key, body)
+	}, func(key string, body []byte) {
+		offers = append(offers, "insert "+key)
+		insert(key, body)
+	})
+	query := func(i int) {
+		t.Helper()
+		if status, _ := s.MeasureQuery(fmt.Sprintf("profile=1,0.5,0.%03d", i+101)); status != 200 {
+			t.Fatalf("query %d: status %d", i, status)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		query(i)
+	}
+	if len(offers) == 0 || !strings.HasPrefix(offers[0], "insert ") {
+		t.Fatalf("computed bodies were not offered at insert: %q", offers)
+	}
+	key0 := strings.TrimPrefix(offers[0], "insert ")
+	waitSpill(t, "write-through to drain", func() bool { return s.spillStats().Writes >= 12 })
+
+	hits := s.spillStats().Hits
+	mark := len(offers)
+	query(0) // long evicted: a spill hit, promoted by the fill
+	if s.spillStats().Hits != hits+1 {
+		t.Fatal("re-request of an evicted key was not a spill hit")
+	}
+	for i := 100; i < 112; i++ {
+		query(i) // push the promoted entry out of memory again
+	}
+	if _, _, ok := get(s.cache, hashKey(key0), key0); ok {
+		t.Fatal("the promoted entry is still resident; the test did not evict it")
+	}
+	inserts := 0
+	for _, o := range offers[mark:] {
+		if strings.HasSuffix(o, " "+key0) {
+			t.Fatalf("promoted body offered back to spill: %q", o)
+		}
+		if strings.HasPrefix(o, "insert ") {
+			inserts++
+		}
+	}
+	if inserts != 12 {
+		t.Fatalf("%d computed bodies offered at insert after the promotion, want 12", inserts)
+	}
+}
+
 // TestSpillRawFrontRoundtrip: large raw queries (≥ rawFastPathMinQuery)
 // evicted from the raw front must round-trip through disk under the raw
 // layer key and serve re-requests with zero parsing or evaluation.

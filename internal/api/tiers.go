@@ -25,8 +25,9 @@ const (
 // it; so does a single-replica server), and finally compute. A body compute
 // produced for a peer-owned key is pushed to the owner once, so the fleet
 // still converges on one evaluation per key. Spill and peer bodies are
-// stored verbatim and promoted into memory by the fill; an error from
-// compute reaches every coalesced waiter and is never cached.
+// stored verbatim and promoted into memory by the fill; a spill body is
+// marked on disk there, so c's sinks never offer it back to spill. An
+// error from compute reaches every coalesced waiter and is never cached.
 //
 // A computed body reaches spillLayer through c's sinks when c keeps it. One
 // c cannot keep — c is off, or the entry is over its shard's byte budget —
@@ -48,11 +49,11 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 	src := fromMemory
 	useSpill := s.spill != nil && spillLayer != 0
 	var spillKey string
-	miss := func() ([]byte, int64, error) {
+	miss := func() ([]byte, int64, bool, error) {
 		if useSpill {
 			if b, ok := s.spillGet(spillLayer, spillKey); ok {
 				src = fromSpill
-				return b, 0, nil
+				return b, 0, true, nil
 			}
 		}
 		var owner string
@@ -62,7 +63,7 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 				kb = []byte(key)
 				if b, ok := cl.Fetch(o, peer, kb); ok {
 					src = fromPeer
-					return b, 0, nil
+					return b, 0, false, nil
 				}
 				owner = o
 			}
@@ -70,7 +71,7 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 		src = fromCompute
 		body, meta, err := compute()
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, false, err
 		}
 		if owner != "" {
 			s.cluster.Push(owner, peer, kb, body)
@@ -78,7 +79,7 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 		if useSpill && !c.admits(h, spillKey, body) {
 			s.spill.store.Layer(spillLayer).TryPut(spillKey, body)
 		}
-		return body, meta, nil
+		return body, meta, false, nil
 	}
 	var body []byte
 	var meta int64
