@@ -78,7 +78,7 @@ lint:
 # certificate's claims re-derived from their raw samples, gated, and held
 # against bench_history/ of the same host shape (a different num_cpu or
 # GOMAXPROCS fails and names the re-seed step). BENCH_incr.json is not
-# committed (it is regenerated here, ~35 s); the other certificates are,
+# committed (it is regenerated here, ~3 s); the other certificates are,
 # so run `make bench` to regenerate them on failure. The *.json.new guard
 # catches half-finished regenerations (a BENCH_*.json.new left behind by an
 # interrupted or failing run) before they get committed.

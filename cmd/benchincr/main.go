@@ -1,5 +1,6 @@
 // Command benchincr certifies the perf claims of the incremental evaluator
-// and the batched/cached serving path. It times, via testing.Benchmark:
+// and the batched/cached serving path. It times, over a fixed iteration
+// count per sample (each sample runs tens to hundreds of milliseconds):
 //
 //   - the O(n²) brute-force speedup search vs the O(n) incremental search
 //     at n ∈ {256, 4096} (acceptance: ≥2× at n = 256, ≥10× at n = 4096), and
@@ -14,7 +15,7 @@
 //	go run ./cmd/benchincr > BENCH_incr.json
 //
 // The -quick flag takes one sample of three iterations per measurement so
-// CI smoke tests finish in well under a second; its output is not a
+// CI smoke tests finish in about a second; its output is not a
 // certificate.
 package main
 
@@ -51,16 +52,26 @@ func buildCert(quick bool) (*benchcert.Cert, error) {
 	if quick {
 		samples = 1
 	}
+	// nsPerOp times iters iterations of f, or three in a quick run.
+	nsPerOp := func(iters int, f func(b *testing.B)) float64 {
+		if quick {
+			iters = 3
+		}
+		return benchcert.NsPerIters(iters, f)
+	}
 	m := model.Figs34()
 	// The n=4096 floor certifies the headline O(n²)→O(n) claim; n=256 shows
 	// the win is not an asymptotic artifact. Each sample pairs one brute
-	// and one incremental ns/op; the claim is their ratio of sums.
+	// and one incremental ns/op; the claim is their ratio of sums. The
+	// iteration counts hold each sample to 30–100 ms on a 2-vCPU host,
+	// except one brute search at n=4096, which alone takes ~350 ms.
 	for _, tc := range []struct {
-		n         int
-		threshold float64
+		n                     int
+		threshold             float64
+		bruteIters, incrIters int
 	}{
-		{256, 2},
-		{4096, 10},
+		{256, 2, 20, 3000},
+		{4096, 10, 1, 300},
 	} {
 		p := profile.RandomNormalized(stats.NewRNG(uint64(tc.n)), tc.n)
 		if _, err := core.BestMultiplicative(m, p, 0.5); err != nil {
@@ -68,14 +79,14 @@ func buildCert(quick bool) (*benchcert.Cert, error) {
 		}
 		var brute, incremental []float64
 		for k := 0; k < samples; k++ {
-			brute = append(brute, benchcert.NsPerOp(quick, func(b *testing.B) {
+			brute = append(brute, nsPerOp(tc.bruteIters, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := core.BestMultiplicativeBruteForce(m, p, 0.5); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}))
-			incremental = append(incremental, benchcert.NsPerOp(quick, func(b *testing.B) {
+			incremental = append(incremental, nsPerOp(tc.incrIters, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := core.BestMultiplicative(m, p, 0.5); err != nil {
 						b.Fatal(err)
@@ -99,7 +110,7 @@ func buildCert(quick bool) (*benchcert.Cert, error) {
 		}
 	}
 	serve := func(h http.Handler) float64 {
-		return benchcert.NsPerOp(quick, func(b *testing.B) {
+		return nsPerOp(10000, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, req)

@@ -107,6 +107,8 @@ func TestMeasureErrors(t *testing.T) {
 		{"/v1/measure?profile=1,-0.5", http.StatusBadRequest},
 		{"/v1/measure?profile=1,abc", http.StatusBadRequest},
 		{"/v1/measure?profile=1&tau=-1", http.StatusBadRequest},
+		{"/v1/measure?profile=1&pi=NaN", http.StatusBadRequest},
+		{"/v1/measure?profile=1&pi=Inf", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code := getJSON(t, srv.URL+tc.path, nil); code != tc.code {

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -72,6 +72,13 @@ const batchRawMinBody = rawFastPathMinQuery
 // canonical key build and shard lock cost more than re-evaluating, and tiny
 // batch entries would thrash the LRU that /v1/measure hits depend on.
 const batchCacheMinProfile = 128
+
+// fragmentsPerShard is how many entries of a batch fragment's size must fit
+// one canonical-cache shard for the fragment to be cached. An entry over
+// half a shard's byte budget leaves room for no other, so a sweep of such
+// fragments would evict a shard's /v1/measure entries for one fragment
+// after another, each replaced by the next fresh sweep.
+const fragmentsPerShard = 2
 
 // maxBody resolves the Server's unified POST body cap: MaxBody, or the
 // package default when unset.
@@ -150,7 +157,7 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 	)
 	if len(body) >= threshold {
 		if keyed {
-			if ent, ok := s.spillOpenStream(spillLayerBatch, body); ok {
+			if ent, ok := s.spillOpenStream(layerBatch, body); ok {
 				defer ent.Close()
 				s.batchStreamed.Add(1)
 				return 200, nil, "", s.copySpillStream(w, ent)
@@ -172,7 +179,7 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 			dst := w
 			var ap *spill.Appender
 			if keyed {
-				if ap = s.spillBegin(spillLayerBatch, body); ap != nil {
+				if ap = s.spillBegin(layerBatch, body); ap != nil {
 					dst = io.MultiWriter(w, ap)
 				}
 			}
@@ -201,7 +208,7 @@ func (s *Server) serveBatch(ctx context.Context, body []byte, w io.Writer, flush
 	if !keyed {
 		resp, meta, err = render()
 	} else {
-		resp, meta, src, err = readThrough(s, s.batchRawCache, h, body, spillLayerBatch, 0, render)
+		resp, meta, src, err = readThrough(s, s.batchRawCache, h, body, layerBatch, false, render)
 	}
 	if err != nil {
 		status, msg := errStatus(err)
@@ -719,62 +726,20 @@ func parseJSONNumber(b []byte) (f float64, n int, ok bool) {
 	return f, i, err == nil
 }
 
-// fragmentKey returns the canonical key of a batch fragment, or nil when
-// the fragment bypasses the canonical cache: the cache is off, p is smaller
-// than batchCacheMinProfile, or the entry could not fit the largest shard's
-// byte budget, which would reject it after the key build and the render.
-// The fit test is a lower bound on the entry's cost, computed without
-// formatting: the exact key length plus 2 bytes per ρ of body (a digit and
-// a separator).
-func (s *Server) fragmentKey(m model.Params, p profile.Profile) []byte {
+// fragmentKey appends the canonical key of a batch fragment to dst[:0], or
+// returns nil when the fragment bypasses the canonical cache: the cache is
+// off, p is smaller than batchCacheMinProfile, or fragmentsPerShard of its
+// entries could not fit the largest shard's byte budget. The fit test is a
+// lower bound on the entry's cost: the key's fixed length plus 2 bytes per
+// ρ of body (a digit and a separator).
+func (s *Server) fragmentKey(dst []byte, m model.Params, p profile.Profile) []byte {
 	if s.cache.capacity <= 0 || len(p) < batchCacheMinProfile {
 		return nil
 	}
-	if budget := s.cache.maxEntryCost(); budget > 0 {
-		cost := int64(hexFloatLen(m.Tau)+hexFloatLen(m.Pi)+hexFloatLen(m.Delta)+2) + 2*int64(len(p))
-		for _, rho := range p {
-			if cost += int64(1 + hexFloatLen(rho)); cost > budget {
-				return nil
-			}
-		}
+	if budget := s.cache.maxEntryCost(); budget > 0 && fragmentsPerShard*int64(canonicalKeyLen(len(p))+2*len(p)) > budget {
+		return nil
 	}
-	return appendCanonicalKey(make([]byte, 0, 26*(len(p)+3)), m, p)
-}
-
-// hexFloatLen is len(strconv.AppendFloat(nil, f, 'x', -1, 64)), the
-// canonical key's spelling of f, read off the bits: a sign, "0x", the
-// leading digit, a '.' and the fraction's significant nibbles if any, 'p',
-// the exponent's sign and its digits, at least two. A subnormal is
-// normalized first, as the formatter does.
-func hexFloatLen(f float64) int {
-	b := math.Float64bits(f)
-	exp := int(b>>52) & 0x7ff
-	frac := b & (1<<52 - 1)
-	switch {
-	case exp == 0x7ff && frac != 0:
-		return len("NaN")
-	case exp == 0x7ff:
-		return len("+Inf")
-	case exp == 0 && frac == 0:
-		return int(b>>63) + len("0x0p+00")
-	case exp == 0:
-		shift := bits.LeadingZeros64(frac) - 11
-		frac = frac << shift & (1<<52 - 1)
-		exp = 1 - shift
-	}
-	n := int(b>>63) + len("0x1p+")
-	if frac != 0 {
-		n += 1 + 13 - bits.TrailingZeros64(frac)/4
-	}
-	switch e := exp - 1023; {
-	case e >= 1000 || e <= -1000:
-		n += 4
-	case e >= 100 || e <= -100:
-		n += 3
-	default:
-		n += 2
-	}
-	return n
+	return appendCanonicalKey(slices.Grow(dst[:0], canonicalKeyLen(len(p))), m, p)
 }
 
 // dedupeProfiles groups bit-identical profiles: uniq lists one

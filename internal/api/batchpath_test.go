@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -351,8 +353,8 @@ func TestBatchBodyFrontHitZeroAlloc(t *testing.T) {
 }
 
 // TestCachedFragmentHitAllocs: a batch fragment served from the canonical
-// cache costs at most its key buffer — the key is probed as bytes, not
-// copied into a string.
+// cache allocates nothing — the key is built in the window's reused key
+// buffer and probed as bytes, not copied into a string.
 func TestCachedFragmentHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -360,7 +362,7 @@ func TestCachedFragmentHitAllocs(t *testing.T) {
 	s := NewServer()
 	m := s.Defaults
 	p := profile.Profile(randomRhos(2*batchCacheMinProfile, 13))
-	var scratch []byte
+	var scratch renderBuf
 	want, stable := s.renderStreamFragment(&scratch, m, p)
 	if !stable {
 		t.Fatal("fragment bypassed the canonical cache")
@@ -370,8 +372,8 @@ func TestCachedFragmentHitAllocs(t *testing.T) {
 			t.Fatal("cached fragment differs")
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("cached-fragment hit: %v allocs/op, want at most 1 (the key buffer)", allocs)
+	if allocs != 0 {
+		t.Errorf("cached-fragment hit: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -620,46 +622,70 @@ func TestParseJSONNumber(t *testing.T) {
 	}
 }
 
-// TestHexFloatLen holds the key-length bound's per-float term to the
-// formatter it stands in for.
-func TestHexFloatLen(t *testing.T) {
-	fs := []float64{1, -1, 0, math.Copysign(0, -1), 0.5, 0.75, 2, 1e-300, 1e300,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1023, 0x1.8p-1070,
-		math.Inf(1), math.Inf(-1), math.NaN()}
-	for e := -1074; e <= 1023; e++ {
-		fs = append(fs, math.Ldexp(1, e), -math.Ldexp(1, e))
-	}
-	rng := stats.NewRNG(8)
-	for i := 0; i < 20000; i++ {
-		b := rng.Uint64()
-		fs = append(fs, math.Float64frombits(b), math.Float64frombits(b&(1<<52-1)), rng.Float64Open())
-	}
-	for _, f := range fs {
-		if got, want := hexFloatLen(f), len(strconv.AppendFloat(nil, f, 'x', -1, 64)); got != want {
-			t.Fatalf("hexFloatLen(%v) = %d, want %d (%s)", f, got, want, strconv.FormatFloat(f, 'x', -1, 64))
-		}
-	}
-}
-
-// TestBatchSkipsUnfittableKey streams a fresh 2^20-ρ batch — eight 2^17-ρ
-// profiles — through a server with a 192-entry, 16 MiB cache (16 shards of
-// 1 MiB), where no fragment's canonical entry can fit a shard. The batch
-// path must not build those keys, so the cache rejects nothing; a fragment
-// that does fit must still be keyed.
+// TestBatchSkipsUnfittableKey streams fresh 2^20-ρ batches through a
+// server with a 192-entry, 16 MiB cache (16 shards of 1 MiB), where no
+// fragment's canonical entry may be cached: none fits a shard
+// fragmentsPerShard times. Eight 2^17-ρ and sixteen 2^16-ρ profiles are
+// not keyed at all: the key and a 2-byte-per-ρ body bound are already too
+// large. Thirty-two 2^15-ρ full-precision profiles are keyed, but each
+// body takes the entry over the bound, so it stays in the window's render
+// buffer. Either way the cache rejects and holds nothing, and a batch
+// allocates within 10% of the same batch on a server with the cache off.
+// A fragment that does fit is keyed and cached at its exact size.
 func TestBatchSkipsUnfittableKey(t *testing.T) {
 	s := NewServerWithCache(CacheConfig{Entries: 192, MaxBytes: 16 << 20, Coalesce: true})
-	sets := make([][]float64, 8)
-	for i := range sets {
-		sets[i] = randomRhos(1<<17, uint64(40+i))
+	off := NewServerWithCache(CacheConfig{Entries: 0, Coalesce: true})
+	batch := func(count, n int) []byte {
+		sets := make([][]float64, count)
+		for i := range sets {
+			sets[i] = randomRhos(n, uint64(40+i))
+		}
+		return marshalBatch(t, sets)
 	}
-	var out bytes.Buffer
-	if status, msg, err := s.BatchBodyStream(context.Background(), &out, marshalBatch(t, sets)); status != 200 || err != nil {
-		t.Fatalf("stream: %d %s %v", status, msg, err)
+	// alloc streams body through srv and returns the fewest bytes one run
+	// allocated, over two runs.
+	alloc := func(srv *Server, body []byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 2; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if status, msg, err := srv.BatchBodyStream(context.Background(), io.Discard, body); status != 200 || err != nil {
+				t.Fatalf("stream: %d %s %v", status, msg, err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
 	}
-	if c := s.cache.counters(); c.rejected != 0 || c.size != 0 {
-		t.Fatalf("cache rejected %d entries (size %d), want 0: unfittable keys were built", c.rejected, c.size)
+	for _, shape := range []struct{ count, n int }{{8, 1 << 17}, {16, 1 << 16}, {32, 1 << 15}} {
+		keyed := s.fragmentKey(nil, s.Defaults, profile.Profile(randomRhos(shape.n, 1))) != nil
+		if want := shape.n == 1<<15; keyed != want {
+			t.Fatalf("%d-ρ fragment keyed %v, want %v", shape.n, keyed, want)
+		}
+		body := batch(shape.count, shape.n)
+		cached := alloc(s, body)
+		if c := s.cache.counters(); c.rejected != 0 || c.size != 0 {
+			t.Fatalf("%d × %d ρ: cache rejected %d entries (size %d), want 0: unfittable entries were offered",
+				shape.count, shape.n, c.rejected, c.size)
+		}
+		if raceEnabled { // -race perturbs allocation counts
+			continue
+		}
+		uncached := alloc(off, body)
+		t.Logf("%d × %d ρ: %d bytes allocated, cache-off %d", shape.count, shape.n, cached, uncached)
+		if float64(cached) > 1.1*float64(uncached) {
+			t.Fatalf("%d × %d ρ: %d bytes allocated, cache-off %d: over 10%% more", shape.count, shape.n, cached, uncached)
+		}
 	}
-	if key := s.fragmentKey(s.Defaults, profile.Profile(randomRhos(1<<13, 9))); key == nil {
+	p := profile.Profile(randomRhos(1<<13, 9))
+	key := s.fragmentKey(nil, s.Defaults, p)
+	if key == nil {
 		t.Fatal("a fragment that fits a shard was not keyed")
+	}
+	if _, _, err := s.BatchBodyStream(context.Background(), io.Discard, marshalBatch(t, [][]float64{p})); err != nil {
+		t.Fatal(err)
+	}
+	if body, _, ok := get(s.cache, hashKey(key), key); !ok || cap(body) != len(body) {
+		t.Fatalf("fitting fragment cached %v, capacity %d for %d bytes", ok, cap(body), len(body))
 	}
 }

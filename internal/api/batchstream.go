@@ -143,7 +143,7 @@ func (s *Server) writeBatch(ctx context.Context, w io.Writer, flush func(), wind
 	}
 	held := make([][]byte, len(uniq)) // resolved fragments still due
 	frags := make([]fragment, 0, min(window, len(uniq)))
-	scratch := make([][]byte, cap(frags)) // render buffers, reused window to window
+	scratch := make([]renderBuf, cap(frags)) // reused window to window
 	env := make([]byte, 0, 32)
 	env = append(env, `{"count":`...)
 	env = strconv.AppendInt(env, int64(len(profiles)), 10)
@@ -215,15 +215,20 @@ type fragment struct {
 	scratch bool   // body lives in a render buffer the next window reuses
 }
 
+// renderBuf is one window slot's key and body buffers, reused window to
+// window.
+type renderBuf struct{ key, body []byte }
+
 // resolveFragments resolves one window's fragments: memory hits from the
 // canonical cache first, then the misses on the plan incr.ScheduleBatch
 // picks — large profiles one at a time with the pool turned inward (the
 // chunked kernel), the rest fanned out largest-first, one worker each.
-// Fragment k renders into scratch[k] unless the cache takes its body.
-func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch [][]byte) {
+// Fragment k keys and renders into scratch[k]; the cache gets a copy of
+// the body only when it admits the entry.
+func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch []renderBuf) {
 	misses, last := 0, 0
 	for k := range frags {
-		if !s.probeFragment(m, &frags[k]) {
+		if !s.probeFragment(m, &frags[k], &scratch[k].key) {
 			misses, last = misses+1, k
 		}
 	}
@@ -239,7 +244,7 @@ func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch [][]
 		if len(frags[last].p) >= incr.ScheduleLargeCutover {
 			workers = 0
 		}
-		s.renderFragment(m, &frags[last], workers, &scratch[last])
+		s.renderFragment(m, &frags[last], workers, &scratch[last].body)
 		return
 	}
 	miss := make([]int, 0, misses)
@@ -253,7 +258,7 @@ func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch [][]
 	sched := incr.ScheduleBatch(ps, 0)
 	for _, j := range sched.Large {
 		k := miss[j]
-		s.renderFragment(m, &frags[k], 0, &scratch[k])
+		s.renderFragment(m, &frags[k], 0, &scratch[k].body)
 	}
 	weights := make([]int, len(sched.Small))
 	for x, j := range sched.Small {
@@ -261,18 +266,19 @@ func (s *Server) resolveFragments(m model.Params, frags []fragment, scratch [][]
 	}
 	parallel.ForEachLargestFirst(0, weights, func(x int) {
 		k := miss[sched.Small[x]]
-		s.renderFragment(m, &frags[k], 1, &scratch[k])
+		s.renderFragment(m, &frags[k], 1, &scratch[k].body)
 	})
 }
 
 // probeFragment resolves f from the canonical measure cache — the entries
 // /v1/measure serves and fills — and reports whether it did. Batch
-// fragments are memory-only: they never read the spill tier or peers. A
-// hit counts toward the batch cache_hits statz and costs the key buffer.
-func (s *Server) probeFragment(m model.Params, f *fragment) bool {
-	if f.key = s.fragmentKey(m, f.p); f.key == nil {
+// fragments are memory-only: they never read the spill tier or peers. The
+// key is built in *keyBuf, which the next window reuses.
+func (s *Server) probeFragment(m model.Params, f *fragment, keyBuf *[]byte) bool {
+	if f.key = s.fragmentKey(*keyBuf, m, f.p); f.key == nil {
 		return false
 	}
+	*keyBuf = f.key
 	f.h = hashKey(f.key)
 	body, _, ok := get(s.cache, f.h, f.key)
 	if ok {
@@ -282,19 +288,24 @@ func (s *Server) probeFragment(m model.Params, f *fragment) bool {
 	return ok
 }
 
-// renderFragment evaluates f's profile with workers and renders its body:
-// through the canonical cache's singleflight fill when f is keyed (the
-// cache then owns the body, and the key is copied once, on insert), else
-// into *buf, which the caller reuses.
+// renderFragment evaluates f's profile with workers and renders its body
+// into *buf. When f is keyed and its shard admits fragmentsPerShard entries
+// of its size, an exact-size copy of the body is published through the
+// cache's fill (which copies the key once, on insert) unless an entry or
+// flight for the key got there first; either way f's body is then
+// cache-owned. The copy keeps the render buffer's spare capacity, sized for
+// full-precision ρ, out of the cache, whose byte budget counts only
+// len(body). A larger entry is never offered, so the cache rejects nothing.
 func (s *Server) renderFragment(m model.Params, f *fragment, workers int, buf *[]byte) {
-	if f.key == nil {
-		*buf = appendFragment(*buf, m, f.p, workers)
-		f.body, f.scratch = *buf, true
+	*buf = appendFragment(*buf, m, f.p, workers)
+	f.body, f.scratch = *buf, true
+	if f.key == nil || !s.cache.admits(f.h, fragmentsPerShard*entryCost(f.key, f.body)) {
 		return
 	}
 	f.body, _, _, _ = fill(s.cache, f.h, f.key, func() ([]byte, int64, bool, error) {
-		return appendFragment(nil, m, f.p, workers), 0, false, nil
+		return append(make([]byte, 0, len(*buf)), *buf...), 0, false, nil
 	})
+	f.scratch = false
 }
 
 // appendFragment evaluates p and renders its measure body into dst's

@@ -32,11 +32,11 @@ func streamOf(t *testing.T, s *Server, body []byte) ([]byte, error) {
 
 // renderStreamFragment resolves one profile's fragment the way a stream's
 // one-fragment window does: a canonical-cache hit, else a render into
-// *scratch. stable reports that the body is cache-owned rather than scratch.
-func (s *Server) renderStreamFragment(scratch *[]byte, m model.Params, p profile.Profile) (frag []byte, stable bool) {
+// scratch. stable reports that the body is cache-owned rather than scratch.
+func (s *Server) renderStreamFragment(scratch *renderBuf, m model.Params, p profile.Profile) (frag []byte, stable bool) {
 	f := fragment{p: p}
-	if !s.probeFragment(m, &f) {
-		s.renderFragment(m, &f, 1, scratch)
+	if !s.probeFragment(m, &f, &scratch.key) {
+		s.renderFragment(m, &f, 1, &scratch.body)
 	}
 	return f.body, !f.scratch
 }
@@ -117,7 +117,7 @@ func TestBatchStreamBitIdentical(t *testing.T) {
 					s := NewServerWithCache(CacheConfig{Entries: 1024, Coalesce: false})
 					cacheable := map[string]bool{}
 					for _, rhos := range regime.sets {
-						if s.fragmentKey(s.Defaults, rhos) != nil {
+						if s.fragmentKey(nil, s.Defaults, rhos) != nil {
 							cacheable[measureQueryFor(rhos)] = true
 						}
 					}

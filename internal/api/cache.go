@@ -2,9 +2,9 @@ package api
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 	"sync"
 
 	"hetero/internal/model"
@@ -12,110 +12,58 @@ import (
 )
 
 // CanonicalKey renders a (params, profile) pair as the cache key for
-// /v1/measure. Floats are formatted as hexadecimal ('x', -1), which is
-// exact and round-trippable: two requests share a key iff every parameter
-// and every ρ is the same float64, regardless of how the query spelled them
-// ("0.5", "5e-1" and "0.50" all canonicalize identically).
+// /v1/measure: τ, π, δ and then every ρ, each as the 8 little-endian bytes
+// of its IEEE-754 bit pattern, so a key is 24 + 8n bytes. It is exact by
+// construction: two requests share a key iff every parameter and every ρ
+// is the same float64, regardless of how the query spelled them ("0.5",
+// "5e-1" and "0.50" all canonicalize identically).
 //
 // The serving hot path builds the same bytes allocation-free through
 // appendCanonicalKey; this wrapper exists for callers that want a string.
 func CanonicalKey(m model.Params, p profile.Profile) string {
-	return string(appendCanonicalKey(make([]byte, 0, 24*(len(p)+3)), m, p))
+	return string(appendCanonicalKey(make([]byte, 0, canonicalKeyLen(len(p))), m, p))
 }
 
-// appendCanonicalParams appends the parameter prefix of the canonical key —
-// tau|pi|delta in exact hex spelling, no trailing separator.
-func appendCanonicalParams(dst []byte, m model.Params) []byte {
-	dst = strconv.AppendFloat(dst, m.Tau, 'x', -1, 64)
-	dst = append(dst, '|')
-	dst = strconv.AppendFloat(dst, m.Pi, 'x', -1, 64)
-	dst = append(dst, '|')
-	dst = strconv.AppendFloat(dst, m.Delta, 'x', -1, 64)
-	return dst
-}
-
-// appendCanonicalProfile appends the profile suffix of the canonical key:
-// |ρ,ρ,... in exact hex spelling. It is the profile-dependent (and for large
-// profiles dominant) part of the key; the admission batcher renders it once
-// per distinct profile in a flush and memcpys it behind each item's
-// parameter prefix.
-func appendCanonicalProfile(dst []byte, p []float64) []byte {
-	for i, rho := range p {
-		if i == 0 {
-			dst = append(dst, '|')
-		} else {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendFloat(dst, rho, 'x', -1, 64)
-	}
-	return dst
-}
+// canonicalKeyLen is the length of the canonical key of an n-ρ profile.
+func canonicalKeyLen(n int) int { return 8 * (3 + n) }
 
 // appendCanonicalKey appends the canonical key for (m, p) to dst and returns
 // the extended slice — the zero-allocation spelling of CanonicalKey used by
 // the measure hot path (dst comes from a pooled scratch buffer).
 func appendCanonicalKey(dst []byte, m model.Params, p []float64) []byte {
-	dst = appendCanonicalParams(dst, m)
-	return appendCanonicalProfile(dst, p)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Tau))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Pi))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m.Delta))
+	for _, rho := range p {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rho))
+	}
+	return dst
 }
 
 // ParseCanonicalKey inverts CanonicalKey, strictly: it accepts exactly the
-// image of CanonicalKey on valid inputs and errors on everything else —
-// empty or trailing fields ("...|1," or "a||b"), missing profiles,
-// non-finite or out-of-range values, and non-canonical float spellings. It
-// exists so the fuzzer can prove the key is lossless and unambiguous:
-// parse(key(m, p)) must reproduce m and p exactly, and no malformed key may
-// parse (let alone panic).
+// image of CanonicalKey on valid inputs and errors on everything else — a
+// length that is not 24 + 8n with n ≥ 1, parameters that fail validation,
+// and profiles profile.New rejects (non-finite or out-of-range ρ). Decoding
+// keeps every bit, so an accepted key re-renders as itself. The peer tier
+// validates canonical puts with it, and the fuzzers prove the key lossless
+// and unambiguous through it.
 func ParseCanonicalKey(key string) (model.Params, profile.Profile, error) {
-	var m model.Params
-	rest := key
-	for i, dst := range []*float64{&m.Tau, &m.Pi, &m.Delta} {
-		field, tail, found := strings.Cut(rest, "|")
-		if !found {
-			return model.Params{}, nil, fmt.Errorf("api: canonical key %q: fewer than 4 |-fields", key)
-		}
-		v, err := parseKeyField(field)
-		if err != nil {
-			return model.Params{}, nil, fmt.Errorf("api: canonical key param %d: %w", i, err)
-		}
-		*dst = v
-		rest = tail
+	if len(key) < canonicalKeyLen(1) || len(key)%8 != 0 {
+		return model.Params{}, nil, fmt.Errorf("api: canonical key is %d bytes, want 24 + 8n with n ≥ 1", len(key))
 	}
-	var rhos []float64
-	for {
-		field, tail, found := strings.Cut(rest, ",")
-		v, err := parseKeyField(field)
-		if err != nil {
-			return model.Params{}, nil, fmt.Errorf("api: canonical key ρ[%d]: %w", len(rhos), err)
-		}
-		rhos = append(rhos, v)
-		if !found {
-			break
-		}
-		rest = tail
+	vals := make([]float64, len(key)/8)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(key[8*i : 8*i+8])))
 	}
+	m := model.Params{Tau: vals[0], Pi: vals[1], Delta: vals[2]}
 	if err := m.Validate(); err != nil {
 		return model.Params{}, nil, fmt.Errorf("api: canonical key params: %w", err)
 	}
-	p, err := profile.New(rhos...)
+	p, err := profile.New(vals[3:]...)
 	if err != nil {
 		return model.Params{}, nil, fmt.Errorf("api: canonical key profile: %w", err)
 	}
-	// A decodable key must also be in canonical spelling, or two spellings of
-	// one cluster could masquerade as distinct keys.
-	if CanonicalKey(m, p) != key {
-		return model.Params{}, nil, fmt.Errorf("api: key %q is not in canonical form", key)
-	}
 	return m, p, nil
-}
-
-// parseKeyField parses one |- or ,-delimited canonical-key field, rejecting
-// the empty fields that trailing or doubled separators produce.
-func parseKeyField(field string) (float64, error) {
-	if field == "" {
-		return 0, fmt.Errorf("empty field (trailing or doubled separator)")
-	}
-	return strconv.ParseFloat(field, 64)
 }
 
 // responseCache is a sharded, doubly bounded LRU over fully rendered JSON
@@ -198,7 +146,7 @@ type cacheEntry struct {
 }
 
 // entryCost is the resident byte cost charged against the byte budget.
-func entryCost(key string, body []byte) int64 {
+func entryCost[K cacheKey](key K, body []byte) int64 {
 	return int64(len(key) + len(body))
 }
 
@@ -213,9 +161,9 @@ type flightCall struct {
 
 // DefaultCacheBytes is the default resident-byte budget for each response
 // cache when no -cache-bytes is configured: 256 MiB. Large-n profiles carry
-// ~25-byte hex floats per ρ in the key and ~18-byte decimals per ρ in the
-// body, so the default 1024-entry bound alone could pin multiple GiB; the
-// byte budget caps it regardless of entry shape.
+// 8 key bytes and a ~18-byte decimal per ρ, so the default 1024-entry bound
+// alone could pin multiple GiB; the byte budget caps it regardless of entry
+// shape.
 const DefaultCacheBytes int64 = 256 << 20
 
 const (
@@ -299,14 +247,15 @@ func (c *responseCache) maxEntryCost() int64 {
 	return c.shards[0].byteBudget
 }
 
-// admits reports whether the cache would keep an entry of key and body
-// hashed to h: it is on, and the entry fits its shard's byte budget.
-func (c *responseCache) admits(h uint64, key string, body []byte) bool {
+// admits reports whether the cache would keep an entry of the given cost
+// (entryCost) hashed to h: it is on, and the entry fits its shard's byte
+// budget.
+func (c *responseCache) admits(h uint64, cost int64) bool {
 	if c.capacity <= 0 {
 		return false
 	}
 	budget := c.shard(h).byteBudget
-	return budget <= 0 || entryCost(key, body) <= budget
+	return budget <= 0 || cost <= budget
 }
 
 const (

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
 
@@ -18,14 +17,15 @@ import (
 // key can never amplify into a fan-out of evaluations.
 //
 // Both endpoints are POST with the key in the request body, first byte
-// selecting the cache layer (cluster.LayerCanonical / cluster.LayerRaw):
+// selecting the cache layer by its spill layer byte (layerCanonical or
+// layerRaw; internal/cluster passes it through opaquely):
 //
 //	POST /internal/peer/get   body = layer ++ key
 //	     → 200 + cached bytes, or 404 when the owner is cold
-//	POST /internal/peer/put   body = layer ++ key ++ '\n' ++ response-body
-//	     → 204, or 400 when this replica does not own the key / the key is
-//	       malformed (canonical keys never contain '\n', and raw keys are
-//	       URL query strings, so the framing is unambiguous)
+//	POST /internal/peer/put   body = cluster.PutFrame(layer, key, response-body)
+//	     → 204, or 400 when this replica does not own the key / the key or
+//	       frame is malformed (the key is length-prefixed, because a binary
+//	       canonical key may hold any byte)
 //
 // The endpoints are internal: they are exempt from admission control (a
 // saturated replica must still answer its peers cheaply) and trust their
@@ -48,6 +48,17 @@ func (s *Server) Cluster() *cluster.Peers { return s.cluster }
 // replicas evaluate each distinct key ~once, not ~R times.
 func (s *Server) MeasureEvals() uint64 { return s.measureEvals.Load() }
 
+// peerLayer resolves a peer-protocol layer byte to its memory layer. Peers
+// exchange the canonical and raw layers; /v1/batch bodies stay local.
+func (s *Server) peerLayer(b byte) (memoryLayer, bool) {
+	for _, l := range s.memoryLayers() {
+		if l.layer == b && b != layerBatch {
+			return l, true
+		}
+	}
+	return memoryLayer{}, false
+}
+
 // handlePeerGet serves cached bytes to a fleet peer: 200 with the body on a
 // warm key, 404 on a cold one (or when no tier is attached). It never
 // evaluates — the never-worse guarantee of the tier rests on misses being
@@ -69,17 +80,14 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	var found bool
 	if s.cluster != nil {
-		switch layer {
-		case cluster.LayerCanonical:
-			// A peer-served hit counts as a local cache hit and refreshes the
-			// entry's LRU position: keys a fleet keeps asking for stay warm.
-			body, _, found = get(s.cache, hashKey(key), key)
-		case cluster.LayerRaw:
-			body, _, found = get(s.rawCache, hashKey(key), key)
-		default:
+		l, ok := s.peerLayer(layer)
+		if !ok {
 			writeError(w, http.StatusBadRequest, "peer get: unknown layer")
 			return
 		}
+		// A peer-served hit counts as a local cache hit and refreshes the
+		// entry's LRU position: keys a fleet keeps asking for stay warm.
+		body, _, found = get(l.cache, hashKey(key), key)
 		if !found && s.servePeerGetFromSpill(w, layer, key) {
 			return
 		}
@@ -106,16 +114,7 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) {
 // for should not displace this replica's own working set. Reports whether
 // it wrote a response.
 func (s *Server) servePeerGetFromSpill(w http.ResponseWriter, layer byte, key []byte) bool {
-	var slayer byte
-	switch layer {
-	case cluster.LayerCanonical:
-		slayer = spillLayerCanonical
-	case cluster.LayerRaw:
-		slayer = spillLayerRaw
-	default:
-		return false
-	}
-	ent, ok := s.spillOpenStream(slayer, key)
+	ent, ok := s.spillOpenStream(layer, key)
 	if !ok {
 		return false
 	}
@@ -153,41 +152,33 @@ func (s *Server) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		reject("peer put: cluster tier not enabled")
 		return
 	}
-	if len(req) < 2 {
-		reject("peer put: want layer byte + key + '\\n' + body")
+	layer, key, body, err := cluster.ParsePutFrame(req)
+	if err != nil {
+		reject("peer put: " + err.Error())
 		return
 	}
-	layer, rest := req[0], req[1:]
-	nl := bytes.IndexByte(rest, '\n')
-	if nl <= 0 || nl == len(rest)-1 {
-		reject("peer put: want layer byte + key + '\\n' + body")
-		return
-	}
-	key, body := rest[:nl], rest[nl+1:]
 	if _, self := s.cluster.Owner(hashKey(key)); !self {
 		reject("peer put: not the owner of this key")
 		return
 	}
-	switch layer {
-	case cluster.LayerCanonical:
+	l, ok := s.peerLayer(layer)
+	switch {
+	case !ok:
+		reject("peer put: unknown layer")
+		return
+	case len(key) < l.minKey:
+		// Peers exchange raw-front keys only at or above the threshold
+		// (below it the canonical layer is the peer layer); a small raw
+		// key is a protocol violation, not a cache policy question.
+		reject("peer put: raw key below front-layer threshold")
+		return
+	case layer == layerCanonical:
 		if _, _, err := ParseCanonicalKey(string(key)); err != nil {
 			reject("peer put: " + err.Error())
 			return
 		}
-		put(s.cache, key, append([]byte(nil), body...))
-	case cluster.LayerRaw:
-		if len(key) < rawFastPathMinQuery {
-			// Peers exchange raw-front keys only at or above the threshold
-			// (below it the canonical layer is the peer layer); a small raw
-			// key is a protocol violation, not a cache policy question.
-			reject("peer put: raw key below front-layer threshold")
-			return
-		}
-		put(s.rawCache, key, append([]byte(nil), body...))
-	default:
-		reject("peer put: unknown layer")
-		return
 	}
+	put(l.cache, key, append([]byte(nil), body...))
 	s.acceptedPuts.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }

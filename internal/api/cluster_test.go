@@ -2,11 +2,14 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -243,7 +246,7 @@ func TestPeerEndpointValidation(t *testing.T) {
 	if w := do(h, http.MethodPost, cluster.PeerGetPath, []byte("cwhatever")); w.Code != http.StatusNotFound {
 		t.Fatalf("get without tier: %d", w.Code)
 	}
-	if w := do(h, http.MethodPost, cluster.PeerPutPath, []byte("ckey\nbody")); w.Code != http.StatusBadRequest {
+	if w := do(h, http.MethodPost, cluster.PeerPutPath, cluster.PutFrame(layerCanonical, []byte("key"), []byte("body"))); w.Code != http.StatusBadRequest {
 		t.Fatalf("put without tier: %d", w.Code)
 	}
 	if w := do(h, http.MethodGet, cluster.PeerGetPath, nil); w.Code != http.StatusMethodNotAllowed {
@@ -259,8 +262,13 @@ func TestPeerEndpointValidation(t *testing.T) {
 			t.Fatalf("get %q: %d", body, w.Code)
 		}
 	}
-	if w := do(h0, http.MethodPost, cluster.PeerPutPath, []byte("cnonewline")); w.Code != http.StatusBadRequest {
-		t.Fatalf("put without newline: %d", w.Code)
+	// Too short for a length prefix; a newline-framed put (the framing
+	// before keys were binary), whose first key bytes read as a length far
+	// past the frame.
+	for _, body := range [][]byte{[]byte("c\x00\x00\x01"), []byte("c0x1p+00|0x1p-01\nbody")} {
+		if w := do(h0, http.MethodPost, cluster.PeerPutPath, body); w.Code != http.StatusBadRequest {
+			t.Fatalf("put %q: %d", body, w.Code)
+		}
 	}
 
 	// A put for a key this replica does not own is rejected.
@@ -268,26 +276,42 @@ func TestPeerEndpointValidation(t *testing.T) {
 	sc := &measureScratch{}
 	m, _, _ := s0.parseMeasureQuery(sc, q)
 	key := appendCanonicalKey(nil, m, sc.rhos)
-	frame := append(append([]byte{cluster.LayerCanonical}, key...), '\n')
-	frame = append(frame, []byte(`{"fake":1}`)...)
-	if w := do(h0, http.MethodPost, cluster.PeerPutPath, frame); w.Code != http.StatusBadRequest {
+	if w := do(h0, http.MethodPost, cluster.PeerPutPath, cluster.PutFrame(layerCanonical, key, []byte(`{"fake":1}`))); w.Code != http.StatusBadRequest {
 		t.Fatalf("put for peer-owned key: %d", w.Code)
+	}
+
+	// A put whose length prefix overruns the frame is rejected, as is one
+	// that leaves no body.
+	m0, _, _ := s0.parseMeasureQuery(sc, f.queryOwnedBy(t, 0))
+	own := appendCanonicalKey(nil, m0, sc.rhos)
+	overrun := cluster.PutFrame(layerCanonical, own, []byte("body"))
+	binary.BigEndian.PutUint32(overrun[1:5], uint32(len(own)+len("body")+1))
+	noBody := cluster.PutFrame(layerCanonical, own, []byte("body"))
+	binary.BigEndian.PutUint32(noBody[1:5], uint32(len(own)+len("body")))
+	for name, frame := range map[string][]byte{"overrunning": overrun, "bodiless": noBody} {
+		if w := do(h0, http.MethodPost, cluster.PeerPutPath, frame); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s length prefix: %d", name, w.Code)
+		}
 	}
 
 	// A put whose key is not strictly canonical is rejected even on the
 	// right owner.
-	bogus := []byte("cnot-a-canonical-key\nbody")
+	bogus := cluster.PutFrame(layerCanonical, []byte("not-a-canonical-key"), []byte("body"))
 	if w := do(h0, http.MethodPost, cluster.PeerPutPath, bogus); w.Code != http.StatusBadRequest {
 		t.Fatalf("put with bogus key: %d", w.Code)
 	}
-	// Raw-layer puts below the front-layer threshold are rejected.
-	small := append(append([]byte{cluster.LayerRaw}, []byte("profile=1,0.5")...), '\n')
-	small = append(small, []byte("body")...)
-	if w := do(h0, http.MethodPost, cluster.PeerPutPath, small); w.Code != http.StatusBadRequest {
-		t.Fatalf("small raw put: %d", w.Code)
+	// Raw-layer puts below the front-layer threshold are rejected, and the
+	// batch layer is not a peer layer.
+	for _, frame := range [][]byte{
+		cluster.PutFrame(layerRaw, []byte("profile=1,0.5"), []byte("body")),
+		cluster.PutFrame(layerBatch, []byte(`{"profiles":[[1]]}`), []byte("body")),
+	} {
+		if w := do(h0, http.MethodPost, cluster.PeerPutPath, frame); w.Code != http.StatusBadRequest {
+			t.Fatalf("put %q: %d", frame, w.Code)
+		}
 	}
-	if cs := clusterStatzOf(t, s0); cs.RejectedPuts < 3 {
-		t.Fatalf("rejected_puts = %d, want ≥3", cs.RejectedPuts)
+	if cs := clusterStatzOf(t, s0); cs.RejectedPuts < 8 {
+		t.Fatalf("rejected_puts = %d, want ≥8", cs.RejectedPuts)
 	}
 }
 
@@ -368,6 +392,48 @@ func TestStatzUptimeAndBuild(t *testing.T) {
 	}
 }
 
+// TestPeerKeyWithNewline: a binary canonical key may hold byte 0x0a — here
+// ρ = 0.5 + 10 ulp, whose low byte is 0x0a — and must still round-trip
+// through the peer put and get, because a length prefix, not a delimiter,
+// ends the key. The non-owner evaluates and pushes; the owner accepts the
+// put and serves the same bytes to a get without evaluating.
+func TestPeerKeyWithNewline(t *testing.T) {
+	f := newTestFleet(t, 2, nil)
+	rho := strconv.FormatFloat(math.Float64frombits(0x3FE000000000000A), 'g', -1, 64)
+	var q string
+	for seed := 100; ; seed++ {
+		if q = fmt.Sprintf("profile=1,%s,0.%03d", rho, seed); f.ownerIndex(t, q) == 0 {
+			break
+		}
+	}
+	sc := &measureScratch{}
+	m, _, _ := f.servers[0].parseMeasureQuery(sc, q)
+	key := appendCanonicalKey(nil, m, sc.rhos)
+	if !bytes.Contains(key, []byte{'\n'}) {
+		t.Fatalf("key % x holds no 0x0a byte", key)
+	}
+	status, want := f.servers[1].MeasureQuery(q)
+	if status != 200 {
+		t.Fatalf("non-owner status %d", status)
+	}
+	if cs := clusterStatzOf(t, f.servers[0]); cs.AcceptedPuts != 1 || cs.RejectedPuts != 0 {
+		t.Fatalf("owner puts: accepted %d rejected %d, want 1 and 0", cs.AcceptedPuts, cs.RejectedPuts)
+	}
+	resp, err := http.Post(f.http[0].URL+cluster.PeerGetPath, "application/octet-stream",
+		bytes.NewReader(append([]byte{layerCanonical}, key...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("owner get: %d, body match %v", resp.StatusCode, bytes.Equal(got, want))
+	}
+	if evals := f.servers[0].MeasureEvals(); evals != 0 {
+		t.Fatalf("owner ran %d evaluations, want 0", evals)
+	}
+}
+
 // TestPeerGetDoesNotEvaluate pins the no-amplification property: a get for
 // a cold key answers 404 without running an evaluation.
 func TestPeerGetDoesNotEvaluate(t *testing.T) {
@@ -378,7 +444,7 @@ func TestPeerGetDoesNotEvaluate(t *testing.T) {
 	key := appendCanonicalKey(nil, m, sc.rhos)
 
 	resp, err := http.Post(f.http[0].URL+cluster.PeerGetPath, "application/octet-stream",
-		bytes.NewReader(append([]byte{cluster.LayerCanonical}, key...)))
+		bytes.NewReader(append([]byte{layerCanonical}, key...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +518,7 @@ func TestPeerGetServesFromSpill(t *testing.T) {
 	}
 	key := appendCanonicalKey(nil, m, sc.rhos)
 	waitSpill(t, "write-through offer to land", func() bool {
-		_, ok := s0.spillGet(spillLayerCanonical, string(key))
+		_, ok := s0.spillGet(layerCanonical, string(key))
 		return ok
 	})
 	for _, fq := range owned[1:] {

@@ -338,7 +338,6 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 		it := &batch[i]
 		plans[i].eval = -1
 		var m model.Params
-		var rhos []float64
 		if it.raw {
 			q := splitMeasureQuery(it.rawQuery)
 			var status int
@@ -366,16 +365,15 @@ func (b *measureBatcher) flush(batch []coalesceItem) {
 				reply(i, coalesceResult{status: pm.status, msg: pm.msg})
 				continue
 			}
-			rhos, plans[i].group = pm.rhos, pm.group
+			plans[i].group = pm.group
 		} else {
-			m, rhos = it.m, it.rhos
-			plans[i].group = findGroup(rhos)
+			m = it.m
+			plans[i].group = findGroup(it.rhos)
 		}
 		plans[i].m = m
 		plans[i].eval = len(evalItems)
 		evalItems = append(evalItems, incr.CoalescedItem{Params: m, Group: plans[i].group})
 		evalOwner = append(evalOwner, i)
-		_ = rhos
 	}
 
 	b.groups.Add(uint64(len(groups)))

@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -22,6 +23,7 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add("1", 1e-5, 10e-5, 1.0)
 	f.Add("0.5,5e-1,0.50", 0.2, 10e-6, 1.0)
 	f.Add("0.0000001,1", 1e-6, 0.0, 0.25)
+	f.Add("1,0.5000000000000011", 1e-6, 10e-6, 1.0) // ρ's low byte is 0x0a
 	f.Fuzz(func(t *testing.T, profileStr string, tau, pi, delta float64) {
 		p, err := profileFromString(profileStr)
 		if err != nil {
@@ -32,6 +34,9 @@ func FuzzCanonicalKey(f *testing.F) {
 			t.Skip()
 		}
 		key := CanonicalKey(m, p)
+		if len(key) != 24+8*len(p) {
+			t.Fatalf("key of a %d-ρ profile is %d bytes, want %d", len(p), len(key), 24+8*len(p))
+		}
 		m2, p2, err := ParseCanonicalKey(key)
 		if err != nil {
 			t.Fatalf("key %q does not parse back: %v", key, err)
@@ -168,24 +173,30 @@ func FuzzElasticPlanParse(f *testing.F) {
 // the direction FuzzCanonicalKey cannot cover. The contract:
 //
 //  1. it never panics, whatever the input;
-//  2. malformed keys (trailing or empty fields, missing profile, junk
-//     floats, out-of-range values, non-canonical spellings) always error;
+//  2. malformed keys (a length other than 24 + 8n with n ≥ 1, parameters
+//     that fail validation, non-finite or out-of-range ρ) always error;
 //  3. anything accepted is a fixed point: re-rendering the parsed values
 //     reproduces the input byte-for-byte, and re-parsing agrees exactly.
 func FuzzParseCanonicalKey(f *testing.F) {
 	// Well-formed keys.
 	f.Add(CanonicalKey(model.Table1(), []float64{1, 0.5, 0.25}))
 	f.Add(CanonicalKey(model.Figs34(), []float64{1}))
-	// Malformed: trailing/empty fields, wrong arity, junk.
-	f.Add("0x1p-20|0x1.4p-17|0x1p+00|0x1p+00,")
-	f.Add("0x1p-20|0x1.4p-17|0x1p+00|,0x1p+00")
-	f.Add("0x1p-20|0x1.4p-17|0x1p+00||0x1p+00")
-	f.Add("0x1p-20|0x1.4p-17|0x1p+00")
-	f.Add("1|2")
+	f.Add(CanonicalKey(model.Table1(), []float64{1, math.Float64frombits(0x3FE000000000000A)}))
+	// Malformed: no profile, a ragged length, out-of-range values.
+	t1 := model.Table1()
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta))
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta, 1) + "\x00")
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta, 1)[:31])
 	f.Add("")
-	f.Add("NaN|0x1.4p-17|0x1p+00|0x1p+00")
-	f.Add("+Inf|0x1.4p-17|0x1p+00|0x1p+00")
-	f.Add("1e-6|1e-5|1|1,0.5") // decimal spellings are not canonical
+	f.Add(floatBytes(math.NaN(), t1.Pi, t1.Delta, 1))
+	f.Add(floatBytes(math.Inf(1), t1.Pi, t1.Delta, 1))
+	f.Add(floatBytes(-1, t1.Pi, t1.Delta, 1))
+	f.Add(floatBytes(t1.Tau, math.NaN(), t1.Delta, 1))
+	f.Add(floatBytes(t1.Tau, math.Inf(1), t1.Delta, 1))
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta, 1, 2))
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta, 1, 0))
+	f.Add(floatBytes(t1.Tau, t1.Pi, t1.Delta, math.Copysign(0, -1)))
+	f.Add("0x1p-20|0x1.4p-17|0x1p+00|0x1p+00") // the old hex spelling
 	f.Fuzz(func(t *testing.T, key string) {
 		m, p, err := ParseCanonicalKey(key)
 		if err != nil {
@@ -214,6 +225,16 @@ func FuzzParseCanonicalKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// floatBytes spells vals as a canonical key does: 8 little-endian bytes of
+// each one's bits.
+func floatBytes(vals ...float64) string {
+	var b []byte
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return string(b)
 }
 
 // FuzzAppendJSONFloat holds the float renderer to encoding/json on

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"hetero/internal/cluster"
 	"hetero/internal/incr"
 	"hetero/internal/model"
 	"hetero/internal/parallel"
@@ -73,14 +72,14 @@ func (s *Server) MeasureQuery(rawQuery string) (status int, body []byte) {
 // rawFastPathMinQuery is the query length at which the raw-query front
 // takes on the tiers behind it. Every query is probed at the front by its
 // exact RawQuery string (see measure), but only at or above this length
-// does a front miss read spill layer 'r', fetch from a peer at
-// cluster.LayerRaw, or hand the raw query to the admission batcher. Below
-// it, parsing costs microseconds and the canonical layer's own tiers serve
-// the miss; a spelling under the gate is a memory-only entry.
+// does a front miss read layer 'r' from spill and from a peer, or hand the
+// raw query to the admission batcher. Below it, parsing costs microseconds
+// and the canonical layer's own tiers serve the miss; a spelling under the
+// gate is a memory-only entry.
 const rawFastPathMinQuery = 4096
 
 // rawFrontEngages reports whether a miss of rawQuery at the raw-query front
-// goes to the front's own tiers (spill 'r', cluster.LayerRaw, submitRaw)
+// goes to the front's own tiers (layer 'r' in spill and peers, submitRaw)
 // rather than straight to the canonical layer. The fleet tier keys off this
 // too: a request does its peer fetch/push at exactly one layer.
 func (s *Server) rawFrontEngages(rawQuery string) bool {
@@ -105,11 +104,11 @@ func (s *Server) measure(sc *measureScratch, rawQuery string) (int, []byte, stri
 		return s.measureCanonical(sc, rawQuery)
 	}
 	large := s.rawFrontEngages(rawQuery)
-	var spillLayer, peer byte
+	var layer byte
 	if large {
-		spillLayer, peer = spillLayerRaw, cluster.LayerRaw
+		layer = layerRaw
 	}
-	body, _, _, err := readThrough(s, s.rawCache, hashKey(rawQuery), rawQuery, spillLayer, peer, func() ([]byte, int64, error) {
+	body, _, _, err := readThrough(s, s.rawCache, hashKey(rawQuery), rawQuery, layer, large, func() ([]byte, int64, error) {
 		// With coalescing on, hand a large raw query to the admission
 		// batcher before any parsing: the flush shares the decode, moments
 		// and render across the herd. We are this spelling's flight leader,
@@ -150,17 +149,14 @@ func (s *Server) measureCanonical(sc *measureScratch, rawQuery string) (int, []b
 	// and repeating it here would double the (key-sized) upload and the tail
 	// for a fetch that can only hit when the same cluster was warmed under a
 	// different spelling.
-	peer := cluster.LayerCanonical
-	if s.rawFrontEngages(rawQuery) {
-		peer = 0
-	}
+	peer := !s.rawFrontEngages(rawQuery)
 	// A miss evaluates and encodes under singleflight, so a burst of
 	// identical misses costs one evaluation. With coalescing on, the
 	// evaluation is handed to the admission batcher instead — we are this
 	// key's flight leader, so the body the flush computes is published here
 	// exactly as an inline evaluation would be; a rejected submit falls
 	// through to the inline path.
-	body, _, _, err := readThrough(s, s.cache, hashKey(sc.key), sc.key, spillLayerCanonical, peer, func() ([]byte, int64, error) {
+	body, _, _, err := readThrough(s, s.cache, hashKey(sc.key), sc.key, layerCanonical, peer, func() ([]byte, int64, error) {
 		if b := s.batcher; b != nil {
 			if out, ok := b.submitParsed(m, sc.rhos); ok {
 				return out, 0, nil

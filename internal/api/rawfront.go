@@ -45,7 +45,7 @@ func (s *Server) serveQueryCached(w http.ResponseWriter, prefix, rawQuery string
 		return
 	}
 	key := prefix + rawQuery
-	body, _, _, err := readThrough(s, s.rawCache, hashKey(key), key, spillLayerRaw, 0, func() ([]byte, int64, error) {
+	body, _, _, err := readThrough(s, s.rawCache, hashKey(key), key, layerRaw, false, func() ([]byte, int64, error) {
 		status, body, msg := render(rawQuery)
 		if status != http.StatusOK {
 			return nil, 0, &statusError{status: status, msg: msg}

@@ -18,9 +18,9 @@ import (
 // one layer byte, so the three memory layers can never alias each other;
 // keys go to the store as they are, never concatenated with that byte.
 const (
-	spillLayerCanonical byte = 'c' // canonical measure cache keys
-	spillLayerRaw       byte = 'r' // raw-query front keys (incl. compare/speedup prefixes)
-	spillLayerBatch     byte = 'b' // /v1/batch raw body-front keys
+	layerCanonical byte = 'c' // canonical measure cache keys
+	layerRaw       byte = 'r' // raw-query front keys (incl. compare/speedup prefixes)
+	layerBatch     byte = 'b' // /v1/batch raw body-front keys
 
 	// spillQueueEntries and spillQueueMaxBytes bound the evict hand-off
 	// queue; beyond either, evictions are dropped (counted) rather than
@@ -94,7 +94,7 @@ func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
 	for _, l := range s.memoryLayers() {
 		sink := func(key string, body []byte) {
 			if len(key) >= l.minKey {
-				t.offer(l.spill, key, body)
+				t.offer(l.layer, key, body)
 			}
 		}
 		var insert func(key string, body []byte)
@@ -105,14 +105,15 @@ func (s *Server) EnableSpillOptions(store *spill.Store, opts SpillOptions) {
 	}
 }
 
-// memoryLayer pairs a memory cache with its spill layer byte. Keys shorter
-// than minKey stay out of spill: the raw front holds every /v1/measure
-// spelling, but only spellings of at least rawFastPathMinQuery bytes are
-// ever read from spill layer 'r' (smaller ones read the canonical layer's
-// 'c' behind the front), so writing the rest would fill the disk with
-// records no read looks up.
+// memoryLayer pairs a memory cache with its layer byte, which names the
+// layer both in spill and in the peer protocol. Keys shorter than minKey
+// stay out of spill and off the peer tier: the raw front holds every
+// /v1/measure spelling, but only spellings of at least rawFastPathMinQuery
+// bytes are ever read from layer 'r' (smaller ones read the canonical
+// layer's 'c' behind the front), so writing the rest would fill the disk
+// with records no read looks up.
 type memoryLayer struct {
-	spill  byte
+	layer  byte
 	minKey int
 	cache  *responseCache
 }
@@ -120,9 +121,9 @@ type memoryLayer struct {
 // memoryLayers lists the three memory layers, canonical first.
 func (s *Server) memoryLayers() []memoryLayer {
 	return []memoryLayer{
-		{spillLayerCanonical, 0, s.cache},
-		{spillLayerRaw, rawFastPathMinQuery, s.rawCache},
-		{spillLayerBatch, 0, s.batchRawCache},
+		{layerCanonical, 0, s.cache},
+		{layerRaw, rawFastPathMinQuery, s.rawCache},
+		{layerBatch, 0, s.batchRawCache},
 	}
 }
 
@@ -167,7 +168,7 @@ func (s *Server) flushResident(t *spillTier) {
 				return false
 			}
 			budget -= cost
-			pending = append(pending, spillItem{layer: l.spill, key: key, body: body})
+			pending = append(pending, spillItem{layer: l.layer, key: key, body: body})
 			return true
 		}
 	}

@@ -33,7 +33,7 @@ func TestSpillOfferBoundUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				tier.offer(spillLayerCanonical, fmt.Sprintf("k-%d-%d", g, i), body)
+				tier.offer(layerCanonical, fmt.Sprintf("k-%d-%d", g, i), body)
 			}
 		}(g)
 	}
@@ -223,7 +223,7 @@ func rawRecords(t *testing.T, dir string) (small, large int) {
 			t.Fatal(err)
 		}
 		spill.ScanRecords(f, fi.Size(), func(_ int64, _, _ uint32, key []byte) {
-			if key[0] != spillLayerRaw {
+			if key[0] != layerRaw {
 				return
 			}
 			if len(key)-1 < rawFastPathMinQuery {

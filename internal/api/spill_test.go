@@ -198,7 +198,7 @@ func TestSpillRawFrontRoundtrip(t *testing.T) {
 	}
 	evalsWarm := s.MeasureEvals()
 	waitSpill(t, "raw evictions to land", func() bool {
-		_, ok := s.spillGet(spillLayerRaw, mkQuery(0))
+		_, ok := s.spillGet(layerRaw, mkQuery(0))
 		return ok
 	})
 
@@ -305,7 +305,7 @@ func TestSpillBatchBufferedRoundtrip(t *testing.T) {
 		t.Fatalf("second batch: %d %s", status, msg)
 	}
 	waitSpill(t, "batch front eviction to land", func() bool {
-		_, ok := s.spillGet(spillLayerBatch, string(body1))
+		_, ok := s.spillGet(layerBatch, string(body1))
 		return ok
 	})
 	hits := s.spillStats().Hits
@@ -562,8 +562,7 @@ func TestPeerPutBodyCap(t *testing.T) {
 	// A frame under the cap passes the cap (and fails later, on the
 	// cluster-tier check) — the cap is not simply rejecting everything.
 	w = httptest.NewRecorder()
-	frame := append(append([]byte{cluster.LayerCanonical}, "k"...), '\n')
-	frame = append(frame, "body"...)
+	frame := cluster.PutFrame(layerCanonical, []byte("k"), []byte("body"))
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PeerPutPath, bytes.NewReader(frame)))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("under-cap frame: status %d, want 400 (no cluster tier)", w.Code)

@@ -21,47 +21,47 @@ const (
 
 // readThrough resolves key through the tiers in their one order: the memory
 // cache c; then, as the key's singleflight leader, the spill tier under
-// spillLayer (0 skips it), the owning replica under the peer layer (0 skips
-// it; so does a single-replica server), and finally compute. A body compute
-// produced for a peer-owned key is pushed to the owner once, so the fleet
-// still converges on one evaluation per key. Spill and peer bodies are
-// stored verbatim and promoted into memory by the fill; a spill body is
-// marked on disk there, so c's sinks never offer it back to spill. An
-// error from compute reaches every coalesced waiter and is never cached.
+// layer (0 skips it), the owning replica under the same layer byte when
+// peer is set (a single-replica server skips it), and finally compute. A
+// body compute produced for a peer-owned key is pushed to the owner once,
+// so the fleet still converges on one evaluation per key. Spill and peer
+// bodies are stored verbatim and promoted into memory by the fill; a spill
+// body is marked on disk there, so c's sinks never offer it back to spill.
+// An error from compute reaches every coalesced waiter and is never cached.
 //
-// A computed body reaches spillLayer through c's sinks when c keeps it. One
-// c cannot keep — c is off, or the entry is over its shard's byte budget —
-// is written to spillLayer here, once, so a repeat reads it from disk
-// instead of evaluating again. The write is a TryPut: while the store's
-// unlink backlog is past its bound it is skipped, not waited for. Callers
-// name a spill layer only for keys its reads look up (the raw layer's only
-// at rawFastPathMinQuery bytes and up), so this write adds no record no
-// read would find.
+// A computed body reaches spill through c's sinks when c keeps it. One c
+// cannot keep — c is off, or the entry is over its shard's byte budget —
+// is written to spill here, once, so a repeat reads it from disk instead of
+// evaluating again. The write is a TryPut: while the store's unlink backlog
+// is past its bound it is skipped, not waited for. Callers name a layer
+// only for keys its reads look up (the raw layer's only at
+// rawFastPathMinQuery bytes and up), so this write adds no record no read
+// would find.
 //
 // A []byte key is probed without copying. On a miss it is copied once,
 // into a string that keys the spill read and the memory entry alike when
 // the spill tier is consulted, else by the fill's insert. A string key is
 // never copied.
-func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spillLayer, peer byte, compute func() ([]byte, int64, error)) ([]byte, int64, source, error) {
+func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, layer byte, peer bool, compute func() ([]byte, int64, error)) ([]byte, int64, source, error) {
 	if body, meta, ok := get(c, h, key); ok {
 		return body, meta, fromMemory, nil
 	}
 	src := fromMemory
-	useSpill := s.spill != nil && spillLayer != 0
+	useSpill := s.spill != nil && layer != 0
 	var spillKey string
 	miss := func() ([]byte, int64, bool, error) {
 		if useSpill {
-			if b, ok := s.spillGet(spillLayer, spillKey); ok {
+			if b, ok := s.spillGet(layer, spillKey); ok {
 				src = fromSpill
 				return b, 0, true, nil
 			}
 		}
 		var owner string
 		var kb []byte
-		if cl := s.cluster; cl != nil && peer != 0 {
+		if cl := s.cluster; cl != nil && peer {
 			if o, self := cl.Owner(h); !self {
 				kb = []byte(key)
-				if b, ok := cl.Fetch(o, peer, kb); ok {
+				if b, ok := cl.Fetch(o, layer, kb); ok {
 					src = fromPeer
 					return b, 0, false, nil
 				}
@@ -74,10 +74,10 @@ func readThrough[K cacheKey](s *Server, c *responseCache, h uint64, key K, spill
 			return nil, 0, false, err
 		}
 		if owner != "" {
-			s.cluster.Push(owner, peer, kb, body)
+			s.cluster.Push(owner, layer, kb, body)
 		}
-		if useSpill && !c.admits(h, spillKey, body) {
-			s.spill.store.Layer(spillLayer).TryPut(spillKey, body)
+		if useSpill && !c.admits(h, entryCost(spillKey, body)) {
+			s.spill.store.Layer(layer).TryPut(spillKey, body)
 		}
 		return body, meta, false, nil
 	}

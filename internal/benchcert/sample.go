@@ -86,16 +86,22 @@ func PeakHeap(fn func()) uint64 {
 
 // NsPerOp returns f's cost per iteration. A certified run defers to
 // testing.Benchmark, which calibrates the iteration count itself; a quick
-// run times three iterations directly, since pinning b.N against the
-// harness's calibration loop never terminates.
+// run times three iterations (NsPerIters).
 func NsPerOp(quick bool, f func(b *testing.B)) float64 {
 	if quick {
-		var b testing.B
-		b.N = 3
-		start := time.Now()
-		f(&b)
-		return float64(time.Since(start).Nanoseconds()) / float64(b.N)
+		return NsPerIters(3, f)
 	}
 	r := testing.Benchmark(f)
 	return float64(r.T.Nanoseconds()) / float64(r.N)
+}
+
+// NsPerIters returns f's cost per iteration over exactly n iterations,
+// timed directly: pinning b.N against testing.Benchmark's calibration loop
+// never terminates, and that loop runs each sample for a second or more.
+func NsPerIters(n int, f func(b *testing.B)) float64 {
+	var b testing.B
+	b.N = n
+	start := time.Now()
+	f(&b)
+	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,20 +28,44 @@ const (
 
 // Peer-protocol paths, mounted by internal/api on every replica. Both are
 // POST with the key in the request body (canonical keys and raw-query keys
-// run to hundreds of KB — far past safe request-line limits).
+// run to hundreds of KB — far past safe request-line limits). The first
+// byte of a get or put body is a layer byte that namespaces the caller's
+// cache layers; this package passes it through without interpreting it.
+//
+//	get: layer ++ key
+//	put: layer ++ uint32 big-endian len(key) ++ key ++ body (PutFrame)
 const (
 	PeerGetPath = "/internal/peer/get"
 	PeerPutPath = "/internal/peer/put"
 )
 
-// Layer prefixes namespace the two cache layers a peer can serve inside the
-// one protocol. The first byte of a get/put body selects the layer; the rest
-// is the key. 'c' = the canonical params|profile layer, 'r' = the raw-query
-// front layer (exact query spelling → body).
-const (
-	LayerCanonical byte = 'c'
-	LayerRaw       byte = 'r'
-)
+// PutFrame frames a put: the layer byte, the key's length as 4 big-endian
+// bytes, the key, then the body. Keys may hold any byte, so the length and
+// not a delimiter ends the key.
+func PutFrame(layer byte, key, body []byte) []byte {
+	framed := make([]byte, 0, 5+len(key)+len(body))
+	framed = append(framed, layer)
+	framed = binary.BigEndian.AppendUint32(framed, uint32(len(key)))
+	framed = append(framed, key...)
+	return append(framed, body...)
+}
+
+// ParsePutFrame splits a PutFrame. It fails unless the frame holds a
+// layer byte, a length prefix, a non-empty key of that length and a
+// non-empty body. A length prefix that overruns the frame fails too; so
+// does a frame in the old newline framing (layer ++ key ++ '\n' ++ body),
+// whose first four key bytes, being printable, read as a length over
+// 500 MB.
+func ParsePutFrame(frame []byte) (layer byte, key, body []byte, err error) {
+	if len(frame) < 5 {
+		return 0, nil, nil, fmt.Errorf("want layer byte + key length + key + body")
+	}
+	n := binary.BigEndian.Uint32(frame[1:5])
+	if n == 0 || uint64(n) >= uint64(len(frame)-5) {
+		return 0, nil, nil, fmt.Errorf("key length %d leaves no key or no body in a %d-byte frame", n, len(frame))
+	}
+	return frame[0], frame[5 : 5+n], frame[5+n:], nil
+}
 
 // Config configures a fleet's peer tier.
 type Config struct {
@@ -225,12 +250,7 @@ func (p *Peers) Push(owner string, layer byte, key, body []byte) {
 	c.pushes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
 	defer cancel()
-	framed := make([]byte, 0, len(key)+len(body)+2)
-	framed = append(framed, layer)
-	framed = append(framed, key...)
-	framed = append(framed, '\n')
-	framed = append(framed, body...)
-	_, status, err := p.do(ctx, owner, PeerPutPath, framed)
+	_, status, err := p.do(ctx, owner, PeerPutPath, PutFrame(layer, key, body))
 	if err != nil || status != http.StatusNoContent {
 		c.pushErrors.Add(1)
 	}

@@ -54,7 +54,7 @@ func TestFetchHit(t *testing.T) {
 	addr := hostOf(t, ts)
 	p := newTestPeers(t, addr, -1, time.Second)
 
-	body, ok := p.Fetch(addr, LayerCanonical, []byte("key-1"))
+	body, ok := p.Fetch(addr, 'c', []byte("key-1"))
 	if !ok || string(body) != `{"x":1}` {
 		t.Fatalf("fetch = %q, %v", body, ok)
 	}
@@ -74,7 +74,7 @@ func TestFetchMissAndError(t *testing.T) {
 	defer ts.Close()
 	addr := hostOf(t, ts)
 	p := newTestPeers(t, addr, -1, time.Second)
-	if _, ok := p.Fetch(addr, LayerRaw, []byte("k")); ok {
+	if _, ok := p.Fetch(addr, 'r', []byte("k")); ok {
 		t.Fatal("404 reported as hit")
 	}
 	s := statFor(t, p, addr)
@@ -88,7 +88,7 @@ func TestFetchMissAndError(t *testing.T) {
 	dead.Close()
 	p2 := newTestPeers(t, deadAddr, -1, 200*time.Millisecond)
 	start := time.Now()
-	if _, ok := p2.Fetch(deadAddr, LayerCanonical, []byte("k")); ok {
+	if _, ok := p2.Fetch(deadAddr, 'c', []byte("k")); ok {
 		t.Fatal("dead peer reported as hit")
 	}
 	if el := time.Since(start); el > 2*time.Second {
@@ -121,7 +121,7 @@ func TestFetchHedgeWin(t *testing.T) {
 	p := newTestPeers(t, addr, 20*time.Millisecond, 5*time.Second)
 
 	start := time.Now()
-	body, ok := p.Fetch(addr, LayerCanonical, []byte("slow-key"))
+	body, ok := p.Fetch(addr, 'c', []byte("slow-key"))
 	if !ok || string(body) != "fast" {
 		t.Fatalf("fetch = %q, %v", body, ok)
 	}
@@ -148,7 +148,7 @@ func TestFetchTimeout(t *testing.T) {
 	p := newTestPeers(t, addr, 5*time.Millisecond, 100*time.Millisecond)
 
 	start := time.Now()
-	if _, ok := p.Fetch(addr, LayerCanonical, []byte("k")); ok {
+	if _, ok := p.Fetch(addr, 'c', []byte("k")); ok {
 		t.Fatal("timed-out fetch reported as hit")
 	}
 	if el := time.Since(start); el < 50*time.Millisecond || el > 3*time.Second {
@@ -170,10 +170,13 @@ func TestPush(t *testing.T) {
 	addr := hostOf(t, ts)
 	p := newTestPeers(t, addr, -1, time.Second)
 
-	p.Push(addr, LayerRaw, []byte("the-key"), []byte("the\nbody"))
-	want := "rthe-key\nthe\nbody"
+	p.Push(addr, 'r', []byte("the\nkey"), []byte("the\nbody"))
+	want := "r\x00\x00\x00\x07the\nkeythe\nbody"
 	if !bytes.Equal(gotBody, []byte(want)) {
 		t.Fatalf("push framed %q, want %q", gotBody, want)
+	}
+	if layer, key, body, err := ParsePutFrame(gotBody); err != nil || layer != 'r' || string(key) != "the\nkey" || string(body) != "the\nbody" {
+		t.Fatalf("ParsePutFrame = %q %q %q %v", layer, key, body, err)
 	}
 	s := statFor(t, p, addr)
 	if s.Pushes != 1 || s.PushErrors != 0 {
@@ -187,10 +190,30 @@ func TestPush(t *testing.T) {
 	defer rej.Close()
 	rejAddr := hostOf(t, rej)
 	p2 := newTestPeers(t, rejAddr, -1, time.Second)
-	p2.Push(rejAddr, LayerCanonical, []byte("k"), []byte("b"))
+	p2.Push(rejAddr, 'c', []byte("k"), []byte("b"))
 	s2 := statFor(t, p2, rejAddr)
 	if s2.Pushes != 1 || s2.PushErrors != 1 {
 		t.Fatalf("stats after rejected push: %+v", s2)
+	}
+}
+
+// TestParsePutFrameRejects: a frame must hold a layer byte, a length
+// prefix, a non-empty key of that length and a non-empty body (TestPush
+// parses a good one); a newline-framed put reads as a length past the
+// frame.
+func TestParsePutFrameRejects(t *testing.T) {
+	for _, frame := range []string{
+		"",
+		"c\x00\x00\x00",
+		"c\x00\x00\x00\x00body",    // empty key
+		"c\x00\x00\x00\x03key",     // no body
+		"c\x00\x00\x00\x09keybody", // length overruns the frame
+		"c\xff\xff\xff\xffkeybody", // length overruns a 32-bit frame offset
+		"cthe-key\nbody",           // newline framing
+	} {
+		if _, _, _, err := ParsePutFrame([]byte(frame)); err == nil {
+			t.Errorf("ParsePutFrame(%q) accepted", frame)
+		}
 	}
 }
 

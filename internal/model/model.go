@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Params collects the environment parameters of the model. The zero value
@@ -82,8 +83,8 @@ func (p Params) Validate() error {
 	switch {
 	case !(p.Tau > 0):
 		return fmt.Errorf("model: transit rate τ = %v must be positive", p.Tau)
-	case p.Pi < 0:
-		return fmt.Errorf("model: packaging rate π = %v must be non-negative", p.Pi)
+	case !(p.Pi >= 0) || math.IsInf(p.Pi, 1):
+		return fmt.Errorf("model: packaging rate π = %v must be finite and non-negative", p.Pi)
 	case !(p.Delta > 0) || p.Delta > 1:
 		return fmt.Errorf("model: result ratio δ = %v must be in (0,1]", p.Delta)
 	}

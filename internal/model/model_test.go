@@ -76,6 +76,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero delta", Params{Tau: 1e-6, Pi: 1e-5, Delta: 0}, "δ"},
 		{"delta above one", Params{Tau: 1e-6, Pi: 1e-5, Delta: 1.5}, "δ"},
 		{"nan tau", Params{Tau: math.NaN(), Pi: 1e-5, Delta: 1}, "τ"},
+		{"nan pi", Params{Tau: 1e-6, Pi: math.NaN(), Delta: 1}, "π"},
+		{"infinite pi", Params{Tau: 1e-6, Pi: math.Inf(1), Delta: 1}, "π"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
